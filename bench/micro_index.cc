@@ -148,7 +148,7 @@ void BM_ScanKernel(benchmark::State& state,
 }
 
 // End-to-end Search through whichever path the index selected (fast-scan
-// shortlist + exact re-rank, or the legacy exact scan under
+// with the bound-gated exact rescore, or the legacy exact scan under
 // LIGHTLT_SCAN_KERNEL=off) — the user-visible number the kernels feed.
 void BM_AdcSearch(benchmark::State& state) {
   Rng rng(7);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "src/obs/profile.h"
 #include "src/util/chaos.h"
@@ -11,6 +10,7 @@
 #include "src/util/timer.h"
 
 namespace lightlt::index {
+
 
 void ScanInstruments::Register(obs::MetricsRegistry* registry,
                                const std::string& prefix) {
@@ -28,43 +28,20 @@ void AdcIndex::Instrument(obs::MetricsRegistry* registry,
 Result<AdcIndex> AdcIndex::Build(
     const std::vector<Matrix>& codebooks,
     const std::vector<std::vector<uint32_t>>& item_codes) {
-  if (codebooks.empty()) {
-    return Status::InvalidArgument("AdcIndex: no codebooks");
-  }
-  const size_t m = codebooks.size();
-  const size_t k = codebooks[0].rows();
-  const size_t d = codebooks[0].cols();
-  for (const auto& cb : codebooks) {
-    if (cb.rows() != k || cb.cols() != d) {
-      return Status::InvalidArgument("AdcIndex: codebook shape mismatch");
-    }
-  }
-
+  LIGHTLT_RETURN_IF_ERROR(ValidateCodebooks(codebooks));
   AdcIndex idx;
   idx.codebooks_ = codebooks;
-  idx.codes_ = PackedCodes(item_codes.size(), m, k);
+  idx.codes_ = PackedCodes(item_codes.size(), codebooks.size(),
+                           codebooks[0].rows());
   idx.recon_norms_.resize(item_codes.size());
-
-  std::vector<float> recon(d);
+  std::vector<float> recon;
   for (size_t i = 0; i < item_codes.size(); ++i) {
-    if (item_codes[i].size() != m) {
-      return Status::InvalidArgument("AdcIndex: item code length mismatch");
+    auto norm = ReconstructionNorm(codebooks, item_codes[i], &recon);
+    if (!norm.ok()) return norm.status();
+    idx.recon_norms_[i] = norm.value();
+    for (size_t cb = 0; cb < codebooks.size(); ++cb) {
+      idx.codes_.Set(i, cb, item_codes[i][cb]);
     }
-    std::fill(recon.begin(), recon.end(), 0.0f);
-    for (size_t cb = 0; cb < m; ++cb) {
-      const uint32_t code = item_codes[i][cb];
-      if (code >= k) {
-        return Status::InvalidArgument("AdcIndex: code out of range");
-      }
-      idx.codes_.Set(i, cb, code);
-      const float* word = codebooks[cb].row(code);
-      for (size_t j = 0; j < d; ++j) recon[j] += word[j];
-    }
-    double norm = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      norm += static_cast<double>(recon[j]) * recon[j];
-    }
-    idx.recon_norms_[i] = static_cast<float>(norm);
   }
   idx.BuildScanCache();
   return idx;
@@ -97,64 +74,28 @@ void AdcIndex::BuildScanCache() {
   }
 }
 
-std::vector<float> AdcIndex::BuildLookupTables(const float* query) const {
-  const size_t m = codebooks_.size();
-  const size_t k = num_codewords();
-  const size_t d = dim();
-  std::vector<float> lut(m * k);
-  for (size_t cb = 0; cb < m; ++cb) {
-    const Matrix& book = codebooks_[cb];
-    float* row = lut.data() + cb * k;
-    for (size_t j = 0; j < k; ++j) {
-      const float* word = book.row(j);
-      float acc = 0.0f;
-      for (size_t t = 0; t < d; ++t) acc += query[t] * word[t];
-      row[j] = acc;
-    }
-  }
-  return lut;
-}
-
 void AdcIndex::ScoreRange(const float* lut, size_t begin, size_t end,
                           float* scores) const {
   const size_t m = codebooks_.size();
   const size_t k = num_codewords();
+  // Whichever scan cache is live — the blocked fast-scan layout, the
+  // item-major bytes, or (K > 256) the packed bits — each item sums its
+  // codebooks in the same order, so the scores are bit-identical.
+  const auto score = [&](auto code_at) {
+    for (size_t i = begin; i < end; ++i) {
+      float dot = 0.0f;
+      for (size_t cb = 0; cb < m; ++cb) dot += lut[cb * k + code_at(i, cb)];
+      scores[i] = recon_norms_[i] - 2.0f * dot;
+    }
+  };
   if (!blocked_codes_.empty()) {
-    // Blocked scan cache: the same bytes as the item-major cache in
-    // fast-scan order; per item the codebooks accumulate in the same
-    // order, so scores are bit-identical to the item-major loop.
-    for (size_t i = begin; i < end; ++i) {
-      const uint8_t* base =
-          blocked_codes_.data() +
-          (i / kernels::kBlockItems) * m * kernels::kBlockItems +
-          (i % kernels::kBlockItems);
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + base[cb * kernels::kBlockItems]];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-    }
+    score([&](size_t i, size_t cb) {
+      return kernels::BlockedCodeAt(blocked_codes_.data(), m, i, cb);
+    });
   } else if (!scan_codes_.empty()) {
-    // Fast path: byte-wide scan cache, no bit extraction in the hot loop.
-    const uint8_t* code_ptr = scan_codes_.data() + begin * m;
-    for (size_t i = begin; i < end; ++i) {
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + code_ptr[cb]];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-      code_ptr += m;
-    }
+    score([&](size_t i, size_t cb) { return scan_codes_[i * m + cb]; });
   } else {
-    // Wide-code fallback (K > 256): random-access bit extraction. Slower
-    // than the streaming cursor, but restartable at any chunk boundary.
-    for (size_t i = begin; i < end; ++i) {
-      float dot = 0.0f;
-      for (size_t cb = 0; cb < m; ++cb) {
-        dot += lut[cb * k + codes_.Get(i, cb)];
-      }
-      scores[i] = recon_norms_[i] - 2.0f * dot;
-    }
+    score([&](size_t i, size_t cb) { return codes_.Get(i, cb); });
   }
 }
 
@@ -162,11 +103,53 @@ void AdcIndex::ComputeScores(const float* query,
                              std::vector<float>* scores) const {
   // Legacy uncontrolled scan (eval, RankAll): one uninterrupted pass, no
   // lifecycle checks and no chaos instrumentation.
-  const std::vector<float> lut = BuildLookupTables(query);
+  const std::vector<float> lut = BuildLookupTables(codebooks_, query);
   obs::ProfilePhase scan_phase("adc_scan");
   scores->resize(codes_.num_items());
   ScoreRange(lut.data(), 0, codes_.num_items(), scores->data());
 }
+
+namespace {
+
+// Chunk size of the uncontrolled fast scan: no polling, but each chunk's
+// rescore still runs while its codes and sums are in L1.
+constexpr size_t kUncontrolledChunkItems = 1024;
+
+// The controlled-scan chunk protocol over [0, n): polls `control` between
+// chunks of `chunk` items (a stop counts as a deadline overshoot), runs the
+// chaos hook, calls `scan(begin, end)`, and counts each chunk into the
+// instruments and the control's stats. A null control runs the chunks bare.
+template <typename Scan>
+Status ForEachChunk(size_t n, size_t chunk, const ScanControl* control,
+                    const ScanInstruments& instruments, Scan&& scan) {
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    if (control != nullptr && begin > 0) {
+      const Status check = control->Check();
+      if (!check.ok()) {
+        // The request's budget ran out mid-scan: the chunk just scored was
+        // the overshoot DESIGN.md §9 bounds.
+        if (instruments.enabled()) instruments.overshoot->Increment();
+        return check;
+      }
+    }
+    if (control != nullptr) LIGHTLT_RETURN_IF_ERROR(ChaosOnScanChunk());
+    const size_t end = std::min(begin + chunk, n);
+    LIGHTLT_RETURN_IF_ERROR(scan(begin, end));
+    if (control != nullptr) {
+      if (instruments.enabled()) {
+        instruments.chunks->Increment();
+        instruments.items->Increment(end - begin);
+      }
+      if (control->stats != nullptr) {
+        control->stats->chunks += 1;
+        control->stats->items += end - begin;
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status AdcIndex::ComputeScores(const float* query, std::vector<float>* scores,
                                const ScanControl& control) const {
@@ -174,73 +157,37 @@ Status AdcIndex::ComputeScores(const float* query, std::vector<float>* scores,
   std::vector<float> lut;
   {
     obs::ProfilePhase lut_phase("lut_build");
-    lut = BuildLookupTables(query);
+    lut = BuildLookupTables(codebooks_, query);
   }
   if (control.stats != nullptr) control.stats->lut_builds += 1;
   obs::ProfilePhase scan_phase("adc_scan");
   scores->resize(n);
-  if (control.Trivial() && !ChaosArmed()) {
-    // Telemetry stays chunk-granular even here: the whole scan is one
-    // chunk, so the hot loop itself carries no per-vector instrumentation.
-    ScopedTimer timer(instruments_.chunk_seconds);
-    ScoreRange(lut.data(), 0, n, scores->data());
-    if (instruments_.enabled()) {
-      instruments_.chunks->Increment();
-      instruments_.items->Increment(n);
-    }
-    if (control.stats != nullptr) {
-      control.stats->chunks += 1;
-      control.stats->items += n;
-    }
-    return Status::Ok();
-  }
   // Score score_i = ||o_i||^2 - 2 sum_cb lut[code] in chunks, polling the
   // control between chunks: an expired or cancelled request overshoots its
-  // budget by at most one chunk of scoring work.
-  const size_t chunk = std::max<size_t>(1, control.check_every_items);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    if (begin > 0) {
-      const Status check = control.Check();
-      if (!check.ok()) {
-        // The request's budget ran out mid-scan: the chunk just scored was
-        // the overshoot DESIGN.md §9 bounds.
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        return check;
-      }
-    }
-    LIGHTLT_RETURN_IF_ERROR(ChaosOnScanChunk());
-    const size_t end = std::min(begin + chunk, n);
-    ScopedTimer timer(instruments_.chunk_seconds);
-    ScoreRange(lut.data(), begin, end, scores->data());
-    if (instruments_.enabled()) {
-      instruments_.chunks->Increment();
-      instruments_.items->Increment(end - begin);
-    }
-    if (control.stats != nullptr) {
-      control.stats->chunks += 1;
-      control.stats->items += end - begin;
-    }
-  }
-  return Status::Ok();
+  // budget by at most one chunk of scoring work. A trivial control with
+  // chaos disarmed scans in one chunk, so the hot loop itself carries no
+  // per-vector instrumentation.
+  const size_t chunk = control.Trivial() && !ChaosArmed()
+                           ? std::max<size_t>(1, n)
+                           : std::max<size_t>(1, control.check_every_items);
+  return ForEachChunk(n, chunk, &control, instruments_,
+                      [&](size_t begin, size_t end) {
+                        ScopedTimer timer(instruments_.chunk_seconds);
+                        ScoreRange(lut.data(), begin, end, scores->data());
+                        return Status::Ok();
+                      });
 }
 
 std::vector<SearchHit> AdcIndex::TopKFromScores(
     const std::vector<float>& scores, size_t top_k) {
-  const size_t k = std::min(top_k, scores.size());
-  std::vector<uint32_t> ids(scores.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  // Ties at the k boundary break by ascending id: the selection is then a
-  // pure function of the scores, stable across runs and across the
-  // flat/IVF/fast-scan paths (a tie flip here would otherwise read as a
-  // spurious shadow-recall miss).
-  std::partial_sort(ids.begin(), ids.begin() + k, ids.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return scores[a] < scores[b] ||
-                             (scores[a] == scores[b] && a < b);
-                    });
-  std::vector<SearchHit> hits(k);
-  for (size_t i = 0; i < k; ++i) hits[i] = {ids[i], scores[ids[i]]};
-  return hits;
+  // The shared heap breaks ties at the k boundary by ascending id, as the
+  // fast-scan and IVF paths do: the selection is a pure function of the
+  // scores (a tie flip would read as a spurious shadow-recall miss).
+  TopKHeap heap(std::min(top_k, scores.size()));
+  for (size_t i = 0; i < scores.size(); ++i) {
+    heap.Offer({static_cast<uint32_t>(i), scores[i]});
+  }
+  return heap.TakeSorted();
 }
 
 Result<std::vector<SearchHit>> AdcIndex::SearchFastScan(
@@ -257,122 +204,44 @@ Result<std::vector<SearchHit>> AdcIndex::SearchFastScan(
     // Both tables count: the float LUT plus its quantized companion are
     // separate per-query constructions in the resource vector.
     obs::ProfilePhase lut_phase("lut_build");
-    lut = BuildLookupTables(query);
+    lut = BuildLookupTables(codebooks_, query);
     qlut = kernels::QuantizeLut(lut.data(), m, k);
   }
   if (control != nullptr && control->stats != nullptr) {
     control->stats->lut_builds += 2;
   }
-  const size_t blocks = kernels::NumBlocks(n);
-  std::vector<uint16_t> sums(blocks * kernels::kBlockItems);
-  std::optional<obs::ProfilePhase> scan_phase;
-  scan_phase.emplace("adc_scan");
+  obs::ProfilePhase scan_phase("adc_scan");
 
-  // Quantized pass. Chunking stays item-granular — ceil(n / check_every)
-  // logical chunks, each polling deadline/cancellation and running the
-  // chaos hook — exactly like the exact scan, so deadline overshoot and
-  // injected per-chunk latency are independent of the 32-item kernel block
-  // size. Kernel blocks advance lazily underneath the chunk accounting: a
-  // chunk runs every not-yet-scored block it overlaps (at most one partial
-  // block of read-ahead when check_every < kBlockItems).
+  // Chunking stays item-granular — ceil(n / check_every) logical chunks,
+  // each polling deadline/cancellation and running the chaos hook —
+  // exactly like the exact scan, so deadline overshoot and injected
+  // per-chunk latency are independent of the 32-item kernel block size.
+  // Kernel blocks advance lazily underneath the chunk accounting: a chunk
+  // scans (and rescores) every not-yet-scanned block it overlaps, at most
+  // one partial block of read-ahead when check_every < kBlockItems. The
+  // uncontrolled flavour walks the same chunks without polling, so `sums`
+  // never grows past one chunk.
+  const ScanQuery scan{lut.data(), m, k, &qlut, scan_kernel_.fn, control};
+  const BlockedItems items{blocked_codes_.data(), recon_norms_.data(),
+                           nullptr, n};
+  TopKHeap heap(keep);
+  std::vector<uint16_t> sums;
   const size_t check_every =
-      control == nullptr ? n : std::max<size_t>(1, control->check_every_items);
+      control == nullptr ? kUncontrolledChunkItems
+                         : std::max<size_t>(1, control->check_every_items);
   size_t next_block = 0;
-  for (size_t chunk_begin = 0; chunk_begin < n; chunk_begin += check_every) {
-    if (control != nullptr && chunk_begin > 0) {
-      const Status check = control->Check();
-      if (!check.ok()) {
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        return check;
-      }
-    }
-    if (control != nullptr) LIGHTLT_RETURN_IF_ERROR(ChaosOnScanChunk());
-    const size_t chunk_end = std::min(chunk_begin + check_every, n);
-    const size_t block_end = std::min(kernels::NumBlocks(chunk_end), blocks);
-    if (block_end > next_block) {
-      ScopedTimer timer(control == nullptr ? nullptr
-                                           : instruments_.chunk_seconds);
-      scan_kernel_.fn(blocked_codes_.data() +
-                          next_block * m * kernels::kBlockItems,
-                      block_end - next_block, m, qlut.k_padded,
-                      qlut.table.data(),
-                      sums.data() + next_block * kernels::kBlockItems);
-      next_block = block_end;
-    }
-    if (control != nullptr) {
-      if (instruments_.enabled()) {
-        instruments_.chunks->Increment();
-        instruments_.items->Increment(chunk_end - chunk_begin);
-      }
-      if (control->stats != nullptr) {
-        control->stats->chunks += 1;
-        control->stats->items += chunk_end - chunk_begin;
-      }
-    }
-  }
-
-  // Approximate scores from the integer sums. The reconstruction error is
-  // bounded by qlut.ScoreErrorBound() (DESIGN.md §12), which is what makes
-  // the shortlist below provably cover the exact top-k.
-  std::vector<float> approx(n);
-  for (size_t i = 0; i < n; ++i) {
-    approx[i] = recon_norms_[i] -
-                2.0f * (static_cast<float>(sums[i]) * qlut.scale +
-                        qlut.bias_sum);
-  }
-
-  // Shortlist: every item whose approximate score could still beat the
-  // k-th best after both errors are unwound — exact <= approx + B and
-  // kth_exact <= kth_approx + B, so the cut is kth_approx + 2B.
-  std::vector<float> order(approx);
-  std::nth_element(order.begin(), order.begin() + (keep - 1), order.end());
-  const float tau = order[keep - 1] + 2.0f * qlut.ScoreErrorBound();
-  std::vector<uint32_t> shortlist;
-  shortlist.reserve(keep * 2);
-  for (size_t i = 0; i < n; ++i) {
-    if (approx[i] <= tau) shortlist.push_back(static_cast<uint32_t>(i));
-  }
-
-  // Exact float re-rank of the shortlist, accumulating in the same
-  // codebook order as ScoreRange so the scores are bit-identical to the
-  // exact scalar scan. Usually |shortlist| ~ top_k; a degenerate LUT
-  // (scale 0) can shortlist broadly, so keep polling the control.
-  scan_phase.reset();
-  obs::ProfilePhase rerank_phase("rerank");
-  if (control != nullptr && control->stats != nullptr) {
-    control->stats->shortlist += shortlist.size();
-    control->stats->codes_decoded += shortlist.size() * m;
-  }
-  std::vector<float> exact(shortlist.size());
-  for (size_t s = 0; s < shortlist.size(); ++s) {
-    if (control != nullptr && s > 0 && s % check_every == 0) {
-      LIGHTLT_RETURN_IF_ERROR(control->Check());
-    }
-    const uint32_t id = shortlist[s];
-    const uint8_t* base =
-        blocked_codes_.data() +
-        (id / kernels::kBlockItems) * m * kernels::kBlockItems +
-        (id % kernels::kBlockItems);
-    float dot = 0.0f;
-    for (size_t cb = 0; cb < m; ++cb) {
-      dot += lut[cb * k + base[cb * kernels::kBlockItems]];
-    }
-    exact[s] = recon_norms_[id] - 2.0f * dot;
-  }
-  std::vector<uint32_t> ranked(shortlist.size());
-  std::iota(ranked.begin(), ranked.end(), 0u);
-  const size_t out_k = std::min(keep, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + out_k, ranked.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return exact[a] < exact[b] ||
-                             (exact[a] == exact[b] &&
-                              shortlist[a] < shortlist[b]);
-                    });
-  std::vector<SearchHit> hits(out_k);
-  for (size_t i = 0; i < out_k; ++i) {
-    hits[i] = {shortlist[ranked[i]], exact[ranked[i]]};
-  }
-  return hits;
+  LIGHTLT_RETURN_IF_ERROR(ForEachChunk(
+      n, check_every, control, instruments_, [&](size_t, size_t end) {
+        const size_t block_end = kernels::NumBlocks(end);
+        if (block_end <= next_block) return Status::Ok();
+        ScopedTimer timer(control == nullptr ? nullptr
+                                             : instruments_.chunk_seconds);
+        const Status scanned =
+            ScanBlocks(scan, items, next_block, block_end, &sums, &heap);
+        next_block = block_end;
+        return scanned;
+      }));
+  return heap.TakeSorted();
 }
 
 std::vector<SearchHit> AdcIndex::Search(const float* query,
@@ -453,12 +322,7 @@ Status AdcIndex::Save(const std::string& path) const {
   writer.WriteU32(kAdcMagicV2);
   writer.WriteU32(kAdcVersion);
   writer.WriteU32(static_cast<uint32_t>(kernels::kBlockItems));
-  writer.WriteU64(codebooks_.size());
-  for (const auto& cb : codebooks_) {
-    writer.WriteU64(cb.rows());
-    writer.WriteU64(cb.cols());
-    writer.WriteF32Vector(cb.storage());
-  }
+  WriteCodebooks(codebooks_, writer);
   codes_.Save(writer);
   writer.WriteF32Vector(recon_norms_);
   return writer.Close();
@@ -487,33 +351,11 @@ Result<AdcIndex> AdcIndex::Load(const std::string& path) {
     }
   }
   AdcIndex idx;
-  const size_t m = reader.ReadU64();
-  if (!reader.status().ok()) return reader.status();
-  if (m == 0 || m > 4096) return Status::IoError("AdcIndex: corrupt M");
-  idx.codebooks_.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t rows = reader.ReadU64();
-    const size_t cols = reader.ReadU64();
-    std::vector<float> data = reader.ReadF32Vector();
-    if (!reader.status().ok()) return reader.status();
-    if (data.size() != rows * cols) {
-      return Status::IoError("AdcIndex: corrupt codebook");
-    }
-    idx.codebooks_.emplace_back(rows, cols, std::move(data));
-  }
-  // Cross-field consistency: the scan path indexes lookup tables sized from
-  // codebook 0, so mismatched shapes in a corrupt file would read out of
-  // bounds if admitted here.
-  const size_t k = idx.codebooks_[0].rows();
-  const size_t d = idx.codebooks_[0].cols();
-  if (k < 2 || d == 0) {
-    return Status::IoError("AdcIndex: corrupt codebook shape");
-  }
-  for (const auto& cb : idx.codebooks_) {
-    if (cb.rows() != k || cb.cols() != d) {
-      return Status::IoError("AdcIndex: codebook shape mismatch");
-    }
-  }
+  LIGHTLT_RETURN_IF_ERROR(ReadCodebooks(reader, &idx.codebooks_));
+  // The scan path indexes lookup tables sized from codebook 0, so codes
+  // that disagree with the codebooks would read out of bounds.
+  const size_t m = idx.codebooks_.size();
+  const size_t k = idx.num_codewords();
   auto codes = PackedCodes::Load(reader);
   if (!codes.ok()) return codes.status();
   idx.codes_ = std::move(codes).value();

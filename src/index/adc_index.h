@@ -16,6 +16,7 @@
 
 #include "src/index/codes.h"
 #include "src/index/kernels/scan_kernels.h"
+#include "src/index/scan_core.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/matrix.h"
 #include "src/util/deadline.h"
@@ -23,12 +24,6 @@
 #include "src/util/threadpool.h"
 
 namespace lightlt::index {
-
-/// A (database id, squared distance) search hit.
-struct SearchHit {
-  uint32_t id;
-  float distance;
-};
 
 /// Telemetry handles for a scan hot path (DESIGN.md §10). All-null by
 /// default: an uninstrumented index pays one branch per chunk and nothing
@@ -74,9 +69,10 @@ class AdcIndex {
 
   /// Returns the top_k nearest items by ADC distance (ascending; equal
   /// distances break by ascending id). Uses the fast-scan kernel path when
-  /// available: u8-quantized LUT scan over the blocked code layout, then an
-  /// exact float re-rank of the shortlist, so the result equals the exact
-  /// scalar scan's top-k (DESIGN.md §12).
+  /// available: the shared scan core (scan_core.h) runs the u8-quantized
+  /// LUT scan over the blocked code layout and rescores in float only the
+  /// items that could still enter the top-k heap, so the result equals the
+  /// exact scalar scan's top-k (DESIGN.md §12).
   std::vector<SearchHit> Search(const float* query, size_t top_k) const;
 
   /// Control-aware Search: kDeadlineExceeded / kCancelled when the scan is
@@ -122,12 +118,9 @@ class AdcIndex {
   /// Materializes the byte-wide scan cache from the packed codes.
   void BuildScanCache();
 
-  /// Per-query lookup tables lut[cb*K + j] = <q, C_cb[j]>. O(dMK).
-  std::vector<float> BuildLookupTables(const float* query) const;
-
   /// Scores items [begin, end) into scores[begin..end). O((end-begin) M).
-  /// Exact float path — bit-identical across builds and kernels; the
-  /// fast-scan shortlist is re-ranked against these scores.
+  /// Exact float path — bit-identical across builds and kernels, and to
+  /// the fast-scan path's rescores.
   void ScoreRange(const float* lut, size_t begin, size_t end,
                   float* scores) const;
 
@@ -136,7 +129,8 @@ class AdcIndex {
     return scan_kernel_.fn != nullptr && !blocked_codes_.empty();
   }
 
-  /// Kernel-path Search: quantized scan, shortlist, exact re-rank. With a
+  /// Kernel-path Search: one scan-core call per chunk of items, each
+  /// rescoring its gated items while their codes and sums are hot. With a
   /// null control this is the uncontrolled flavour (no polling, no chaos,
   /// no instrumentation), mirroring the legacy Search split.
   Result<std::vector<SearchHit>> SearchFastScan(

@@ -95,4 +95,67 @@ Result<PackedCodes> PackedCodes::Load(BinaryReader& reader) {
   }
 }
 
+Status ValidateCodebooks(const std::vector<Matrix>& codebooks) {
+  if (codebooks.empty()) return Status::InvalidArgument("no codebooks");
+  for (const auto& cb : codebooks) {
+    if (cb.rows() != codebooks[0].rows() ||
+        cb.cols() != codebooks[0].cols()) {
+      return Status::InvalidArgument("codebook shape mismatch");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<float> ReconstructionNorm(const std::vector<Matrix>& codebooks,
+                                 const std::vector<uint32_t>& codes,
+                                 std::vector<float>* recon) {
+  if (codes.size() != codebooks.size()) {
+    return Status::InvalidArgument("item code length mismatch");
+  }
+  recon->assign(codebooks[0].cols(), 0.0f);
+  for (size_t cb = 0; cb < codes.size(); ++cb) {
+    if (codes[cb] >= codebooks[cb].rows()) {
+      return Status::InvalidArgument("code out of range");
+    }
+    const float* word = codebooks[cb].row(codes[cb]);
+    for (size_t j = 0; j < recon->size(); ++j) (*recon)[j] += word[j];
+  }
+  double norm = 0.0;
+  for (const float v : *recon) norm += static_cast<double>(v) * v;
+  return static_cast<float>(norm);
+}
+
+void WriteCodebooks(const std::vector<Matrix>& codebooks,
+                    BinaryWriter& writer) {
+  writer.WriteU64(codebooks.size());
+  for (const auto& cb : codebooks) {
+    writer.WriteU64(cb.rows());
+    writer.WriteU64(cb.cols());
+    writer.WriteF32Vector(cb.storage());
+  }
+}
+
+Status ReadCodebooks(BinaryReader& reader, std::vector<Matrix>* codebooks) {
+  const size_t m = reader.ReadU64();
+  if (!reader.status().ok()) return reader.status();
+  if (m == 0 || m > 4096) return Status::IoError("corrupt M");
+  codebooks->clear();
+  codebooks->reserve(m);
+  for (size_t i = 0; i < m; ++i) {
+    const size_t rows = reader.ReadU64();
+    const size_t cols = reader.ReadU64();
+    std::vector<float> data = reader.ReadF32Vector();
+    if (!reader.status().ok()) return reader.status();
+    if (data.size() != rows * cols) return Status::IoError("corrupt codebook");
+    if (i == 0 && (rows < 2 || cols == 0)) {
+      return Status::IoError("corrupt codebook shape");
+    }
+    codebooks->emplace_back(rows, cols, std::move(data));
+  }
+  if (!ValidateCodebooks(*codebooks).ok()) {
+    return Status::IoError("codebook shape mismatch");
+  }
+  return Status::Ok();
+}
+
 }  // namespace lightlt::index

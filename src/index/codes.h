@@ -1,4 +1,5 @@
-// Bit-packed storage for quantization codes.
+// Bit-packed storage for quantization codes, plus the codebook checks and
+// persistence the ADC and IVF indexes share.
 //
 // Each database item is M codes, each in [0, K). Codes are packed at
 // ceil(log2 K) bits, giving the paper's (M/8)*log2(K) bytes-per-item storage
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/tensor/matrix.h"
 #include "src/util/check.h"
 #include "src/util/io.h"
 #include "src/util/status.h"
@@ -80,6 +82,22 @@ class PackedCodes {
   size_t bits_per_code_ = 0;
   std::vector<uint64_t> bits_;
 };
+
+/// Checks for M >= 1 codebooks of one K x d shape.
+Status ValidateCodebooks(const std::vector<Matrix>& codebooks);
+
+/// ||Σ_cb C_cb[codes[cb]]||², the per-item reconstruction norm of ADC
+/// scoring, accumulated in double; `recon` is scratch. Fails unless `codes`
+/// is M codes in [0, K).
+Result<float> ReconstructionNorm(const std::vector<Matrix>& codebooks,
+                                 const std::vector<uint32_t>& codes,
+                                 std::vector<float>* recon);
+
+/// Codebook persistence of the index formats: M, then each codebook's rows,
+/// cols and floats. Reading admits 1 <= M <= 4096 codebooks of one K x d
+/// shape with K >= 2 and d >= 1.
+void WriteCodebooks(const std::vector<Matrix>& codebooks, BinaryWriter& writer);
+Status ReadCodebooks(BinaryReader& reader, std::vector<Matrix>* codebooks);
 
 }  // namespace lightlt::index
 

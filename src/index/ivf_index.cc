@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/clustering/kmeans.h"
 #include "src/obs/profile.h"
@@ -29,24 +28,16 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
     const std::vector<std::vector<uint32_t>>& item_codes,
     const IvfOptions& options) {
   LIGHTLT_RETURN_IF_ERROR(options.Validate());
-  if (codebooks.empty()) {
-    return Status::InvalidArgument("IvfAdcIndex: no codebooks");
-  }
+  LIGHTLT_RETURN_IF_ERROR(ValidateCodebooks(codebooks));
   if (embeddings.rows() != item_codes.size()) {
     return Status::InvalidArgument(
         "IvfAdcIndex: embeddings/codes count mismatch");
   }
   const size_t m = codebooks.size();
-  const size_t k = codebooks[0].rows();
   const size_t d = codebooks[0].cols();
-  if (k > 256) {
+  if (codebooks[0].rows() > 256) {
     return Status::InvalidArgument(
         "IvfAdcIndex: K > 256 not supported by the byte-code cells");
-  }
-  for (const auto& book : codebooks) {
-    if (book.rows() != k || book.cols() != d) {
-      return Status::InvalidArgument("IvfAdcIndex: codebook shape mismatch");
-    }
   }
 
   IvfAdcIndex idx;
@@ -79,28 +70,16 @@ Result<IvfAdcIndex> IvfAdcIndex::Build(
 
   // Gather item-major codes per cell first; the scan layout is blocked.
   std::vector<std::vector<uint8_t>> item_major(cells);
-  std::vector<float> recon(d);
+  std::vector<float> recon;
   for (size_t i = 0; i < item_codes.size(); ++i) {
-    if (item_codes[i].size() != m) {
-      return Status::InvalidArgument("IvfAdcIndex: item code length mismatch");
-    }
+    auto norm = ReconstructionNorm(codebooks, item_codes[i], &recon);
+    if (!norm.ok()) return norm.status();
     const uint32_t cell = coarse.assignments[i];
     idx.cell_ids_[cell].push_back(static_cast<uint32_t>(i));
-    std::fill(recon.begin(), recon.end(), 0.0f);
-    for (size_t cb = 0; cb < m; ++cb) {
-      const uint32_t code = item_codes[i][cb];
-      if (code >= k) {
-        return Status::InvalidArgument("IvfAdcIndex: code out of range");
-      }
+    idx.cell_norms_[cell].push_back(norm.value());
+    for (const uint32_t code : item_codes[i]) {
       item_major[cell].push_back(static_cast<uint8_t>(code));
-      const float* word = codebooks[cb].row(code);
-      for (size_t j = 0; j < d; ++j) recon[j] += word[j];
     }
-    double norm = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      norm += static_cast<double>(recon[j]) * recon[j];
-    }
-    idx.cell_norms_[cell].push_back(static_cast<float>(norm));
   }
   for (size_t c = 0; c < cells; ++c) {
     kernels::BuildBlockedCodes(item_major[c].data(),
@@ -121,42 +100,6 @@ std::vector<SearchHit> IvfAdcIndex::Search(const float* query, size_t top_k,
   return result.ok() ? std::move(result).value() : std::vector<SearchHit>{};
 }
 
-namespace {
-
-/// Strict weak order "a is a better hit than b": ascending distance, ties
-/// by ascending id — the shared tie-break of every scan path (a tie flip
-/// between the flat and IVF paths reads as a spurious shadow-recall miss).
-bool BetterHit(const SearchHit& a, const SearchHit& b) {
-  return a.distance < b.distance ||
-         (a.distance == b.distance && a.id < b.id);
-}
-
-}  // namespace
-
-float IvfAdcIndex::ExactCellScore(uint32_t cell, size_t i, const float* lut,
-                                  size_t k) const {
-  const size_t m = codebooks_.size();
-  const uint8_t* base = cell_codes_[cell].data() +
-                        (i / kernels::kBlockItems) * m * kernels::kBlockItems +
-                        (i % kernels::kBlockItems);
-  float dot = 0.0f;
-  for (size_t cb = 0; cb < m; ++cb) {
-    dot += lut[cb * k + base[cb * kernels::kBlockItems]];
-  }
-  return cell_norms_[cell][i] - 2.0f * dot;
-}
-
-void IvfAdcIndex::RecordProbeStats(size_t cells_scanned,
-                                   size_t items_scanned) const {
-  if (probed_cells_ != nullptr) {
-    probed_cells_->Record(static_cast<double>(cells_scanned));
-  }
-  if (scanned_fraction_ != nullptr && total_items_ > 0) {
-    scanned_fraction_->Record(static_cast<double>(items_scanned) /
-                              static_cast<double>(total_items_));
-  }
-}
-
 Result<std::vector<SearchHit>> IvfAdcIndex::Search(
     const float* query, size_t top_k, const ScanControl& control,
     size_t nprobe_override) const {
@@ -168,40 +111,27 @@ Result<std::vector<SearchHit>> IvfAdcIndex::Search(
       nprobe_override == 0 ? options_.nprobe : nprobe_override,
       centroids_.rows());
 
-  // Rank cells by centroid distance (rank-equivalent form).
-  std::vector<float> cell_scores(centroids_.rows());
-  std::vector<uint32_t> cell_order(centroids_.rows());
+  // The nprobe cells nearest by centroid distance (rank-equivalent form).
+  std::vector<SearchHit> cell_order;
   {
     obs::ProfilePhase route_phase("ivf_route");
+    TopKHeap nearest(nprobe);
     for (size_t c = 0; c < centroids_.rows(); ++c) {
       const float* centroid = centroids_.row(c);
       float dot = 0.0f;
       for (size_t j = 0; j < d; ++j) dot += query[j] * centroid[j];
-      cell_scores[c] = centroid_norms_[c] - 2.0f * dot;
+      nearest.Offer(
+          {static_cast<uint32_t>(c), centroid_norms_[c] - 2.0f * dot});
     }
-    std::iota(cell_order.begin(), cell_order.end(), 0u);
-    std::partial_sort(cell_order.begin(), cell_order.begin() + nprobe,
-                      cell_order.end(), [&](uint32_t a, uint32_t b) {
-                        return cell_scores[a] < cell_scores[b] ||
-                               (cell_scores[a] == cell_scores[b] && a < b);
-                      });
+    cell_order = nearest.TakeSorted();
   }
 
   // Shared lookup tables, as in the flat ADC scan (§IV-B), plus their
   // quantized form when a fast-scan kernel is selected.
-  std::vector<float> lut(m * k);
+  std::vector<float> lut;
   {
     obs::ProfilePhase lut_phase("lut_build");
-    for (size_t cb = 0; cb < m; ++cb) {
-      const Matrix& book = codebooks_[cb];
-      float* row = lut.data() + cb * k;
-      for (size_t j = 0; j < k; ++j) {
-        const float* word = book.row(j);
-        float acc = 0.0f;
-        for (size_t t = 0; t < d; ++t) acc += query[t] * word[t];
-        row[j] = acc;
-      }
-    }
+    lut = BuildLookupTables(codebooks_, query);
   }
   kernels::QuantizedLut qlut;
   if (control.stats != nullptr) control.stats->lut_builds += 1;
@@ -210,96 +140,55 @@ Result<std::vector<SearchHit>> IvfAdcIndex::Search(
     qlut = kernels::QuantizeLut(lut.data(), m, k);
     if (control.stats != nullptr) control.stats->lut_builds += 1;
   }
-  const float bound = qlut.ScoreErrorBound();
 
-  // Scan the probed cells keeping a bounded worst-on-top heap of the best
-  // top_k seen so far — O(top_k) state instead of materializing every
-  // scanned item. Each cell is one cooperative chunk: the control is
-  // polled between cells, so expiry or cancellation overshoots by at most
-  // one cell's scan; the probe-breadth histograms record whatever was
-  // actually scanned, on the early-out paths too, so those distributions
-  // are not biased toward fast queries. Telemetry is likewise per-cell —
-  // the inner scoring loop carries no instrumentation.
-  std::vector<SearchHit> heap;
-  heap.reserve(top_k);
+  // Scan the probed cells into one bounded top_k heap through the shared
+  // scan core. Each cell is one cooperative chunk: the control is polled
+  // between cells, so expiry or cancellation overshoots by at most one
+  // cell's scan. Telemetry is likewise per-cell — the inner scoring loop
+  // carries no instrumentation.
+  const ScanQuery scan{lut.data(), m, k, &qlut, scan_kernel_.fn, &control};
+  TopKHeap heap(std::min(top_k, total_items_));  // top_k comes off the wire
   std::vector<uint16_t> sums;
+  size_t cells_scanned = 0;
   size_t items_scanned = 0;
+  Status status = Status::Ok();
   obs::ProfilePhase scan_phase("ivf_scan");
-  for (size_t p = 0; p < nprobe; ++p) {
-    if (p > 0) {
-      const Status check = control.Check();
-      if (!check.ok()) {
-        if (instruments_.enabled()) instruments_.overshoot->Increment();
-        RecordProbeStats(p, items_scanned);
-        return check;
-      }
+  for (; cells_scanned < nprobe; ++cells_scanned) {
+    if (cells_scanned > 0 && !(status = control.Check()).ok()) {
+      if (instruments_.enabled()) instruments_.overshoot->Increment();
+      break;
     }
-    {
-      const Status chaos = ChaosOnScanChunk();
-      if (!chaos.ok()) {
-        RecordProbeStats(p, items_scanned);
-        return chaos;
-      }
-    }
-    const uint32_t cell = cell_order[p];
-    const auto& ids = cell_ids_[cell];
-    const auto& norms = cell_norms_[cell];
+    if (!(status = ChaosOnScanChunk()).ok()) break;
+    const uint32_t cell = cell_order[cells_scanned].id;
+    const size_t cell_items = cell_ids_[cell].size();
     ScopedTimer timer(instruments_.chunk_seconds);
-    const auto offer = [&](size_t i, float exact) {
-      if (top_k == 0) return;
-      const SearchHit hit{ids[i], exact};
-      if (heap.size() < top_k) {
-        heap.push_back(hit);
-        std::push_heap(heap.begin(), heap.end(), BetterHit);
-      } else if (BetterHit(hit, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), BetterHit);
-        heap.back() = hit;
-        std::push_heap(heap.begin(), heap.end(), BetterHit);
-      }
-    };
-    size_t decoded = 0;
-    if (scan_kernel_.fn != nullptr && top_k > 0) {
-      // Quantized cell scan: integer sums first, then an exact float
-      // re-score of only the items whose approximate score could still
-      // make the heap (|approx - exact| <= bound, DESIGN.md §12) — so the
-      // heap contents equal the all-float scan's.
-      const size_t blocks = kernels::NumBlocks(ids.size());
-      sums.resize(blocks * kernels::kBlockItems);
-      scan_kernel_.fn(cell_codes_[cell].data(), blocks, m, qlut.k_padded,
-                      qlut.table.data(), sums.data());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const float approx =
-            norms[i] - 2.0f * (static_cast<float>(sums[i]) * qlut.scale +
-                               qlut.bias_sum);
-        if (heap.size() == top_k && approx - bound > heap.front().distance) {
-          continue;
-        }
-        ++decoded;
-        offer(i, ExactCellScore(cell, i, lut.data(), k));
-      }
-    } else {
-      decoded = ids.size();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        offer(i, ExactCellScore(cell, i, lut.data(), k));
-      }
-    }
-    items_scanned += ids.size();
+    status = ScanBlocks(scan,
+                        {cell_codes_[cell].data(), cell_norms_[cell].data(),
+                         cell_ids_[cell].data(), cell_items},
+                        0, kernels::NumBlocks(cell_items), &sums, &heap);
+    if (!status.ok()) break;
+    items_scanned += cell_items;
     if (instruments_.enabled()) {
       instruments_.chunks->Increment();
-      instruments_.items->Increment(ids.size());
+      instruments_.items->Increment(cell_items);
     }
     if (control.stats != nullptr) {
       control.stats->chunks += 1;
-      control.stats->items += ids.size();
+      control.stats->items += cell_items;
       control.stats->probed_cells += 1;
-      // Exact re-scores expand m codes per offered item — the part of the
-      // quantized path the integer kernel could not prune.
-      control.stats->codes_decoded += decoded * m;
     }
   }
-  RecordProbeStats(nprobe, items_scanned);
-  std::sort_heap(heap.begin(), heap.end(), BetterHit);
-  return heap;
+  // Probe breadth records whatever was actually scanned, on the early-out
+  // paths too, so those distributions are not biased toward fast queries.
+  if (probed_cells_ != nullptr) {
+    probed_cells_->Record(static_cast<double>(cells_scanned));
+  }
+  if (scanned_fraction_ != nullptr && total_items_ > 0) {
+    scanned_fraction_->Record(static_cast<double>(items_scanned) /
+                              static_cast<double>(total_items_));
+  }
+  if (!status.ok()) return status;
+  return heap.TakeSorted();
 }
 
 double IvfAdcIndex::ExpectedScanFraction(size_t nprobe_override) const {
@@ -374,12 +263,7 @@ Status IvfAdcIndex::Save(const std::string& path) const {
   writer.WriteU64(centroids_.cols());
   writer.WriteF32Vector(centroids_.storage());
   writer.WriteF32Vector(centroid_norms_);
-  writer.WriteU64(codebooks_.size());
-  for (const auto& cb : codebooks_) {
-    writer.WriteU64(cb.rows());
-    writer.WriteU64(cb.cols());
-    writer.WriteF32Vector(cb.storage());
-  }
+  WriteCodebooks(codebooks_, writer);
   for (size_t c = 0; c < cell_ids_.size(); ++c) {
     writer.WriteU32Vector(cell_ids_[c]);
     writer.WriteBytes(cell_codes_[c]);
@@ -434,28 +318,11 @@ Result<IvfAdcIndex> IvfAdcIndex::Load(const std::string& path) {
     return Status::IoError("IvfAdcIndex: centroid norm table mismatch");
   }
 
-  const size_t m = reader.ReadU64();
-  if (!reader.status().ok()) return reader.status();
-  if (m == 0 || m > 4096) return Status::IoError("IvfAdcIndex: corrupt M");
-  size_t k = 0;
-  idx.codebooks_.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t rows = reader.ReadU64();
-    const size_t cols = reader.ReadU64();
-    std::vector<float> data = reader.ReadF32Vector();
-    if (!reader.status().ok()) return reader.status();
-    if (data.size() != rows * cols) {
-      return Status::IoError("IvfAdcIndex: corrupt codebook");
-    }
-    if (i == 0) {
-      k = rows;
-      if (k < 2 || k > 256 || cols != d) {
-        return Status::IoError("IvfAdcIndex: corrupt codebook shape");
-      }
-    } else if (rows != k || cols != d) {
-      return Status::IoError("IvfAdcIndex: codebook shape mismatch");
-    }
-    idx.codebooks_.emplace_back(rows, cols, std::move(data));
+  LIGHTLT_RETURN_IF_ERROR(ReadCodebooks(reader, &idx.codebooks_));
+  const size_t m = idx.codebooks_.size();
+  const size_t k = idx.codebooks_[0].rows();
+  if (k > 256 || idx.codebooks_[0].cols() != d) {
+    return Status::IoError("IvfAdcIndex: corrupt codebook shape");
   }
 
   idx.cell_ids_.resize(cells);

@@ -96,16 +96,6 @@ class IvfAdcIndex {
   /// Picks the fast-scan kernel for this K (Build/Load epilogue).
   void SelectKernel();
 
-  /// Exact float score of item `i` of `cell` against per-query LUTs —
-  /// the same codebook-order accumulation as the flat ADC scan, read
-  /// strided out of the blocked cell layout.
-  float ExactCellScore(uint32_t cell, size_t i, const float* lut,
-                       size_t k) const;
-
-  /// Records the probe-breadth histograms for one (possibly cut-short)
-  /// search: cells fully scanned and items scored before the scan ended.
-  void RecordProbeStats(size_t cells_scanned, size_t items_scanned) const;
-
   /// Per cell: original database ids, their codes in the fast-scan blocked
   /// layout (kernels::BuildBlockedCodes — NumBlocks(n)*M*32 bytes, tail
   /// lanes zero), and per-item reconstruction norms.

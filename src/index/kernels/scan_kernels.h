@@ -5,8 +5,9 @@
 // per-query float LUT is quantized to u8 (per-codebook bias, shared scale),
 // codes are laid out in blocked/transposed groups of 32 items, and one
 // shuffle instruction then scores 16–64 items per codebook. The u16 sums
-// are approximate by at most one quantization step per codebook — callers
-// re-rank a shortlist with the float LUT to recover the exact top-k.
+// are approximate by at most one quantization step per codebook — the scan
+// core (scan_core.h) rescores with the float LUT what the bound cannot rule
+// out, recovering the exact top-k.
 //
 // Every kernel consumes the same blocked layout and produces bit-identical
 // u16 sums: integer arithmetic has one answer, so the scalar kernel is the
@@ -43,7 +44,7 @@ inline size_t NumBlocks(size_t n) {
 void BuildBlockedCodes(const uint8_t* item_major, size_t n, size_t m,
                        std::vector<uint8_t>* blocked);
 
-/// Reads one code back out of a blocked array (exact re-rank, tests).
+/// Reads one code back out of a blocked array (exact rescore, tests).
 inline uint8_t BlockedCodeAt(const uint8_t* blocked, size_t m, size_t item,
                              size_t cb) {
   const size_t block = item / kBlockItems;

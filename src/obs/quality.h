@@ -172,7 +172,7 @@ struct ExplainRecord {
   uint64_t cpu_ns = 0;         ///< serving-thread CPU time for the request
   uint64_t codes_decoded = 0;  ///< quantized codes expanded for exact scores
   uint64_t lut_builds = 0;     ///< per-query ADC lookup-table constructions
-  uint64_t shortlist = 0;      ///< fast-scan candidates sent to re-rank
+  uint64_t shortlist = 0;      ///< items the fast-scan core rescored exactly
   bool degraded = false;      ///< admitted in degraded mode
   bool flat_fallback = false; ///< IVF path failed/short; flat scan served
   /// Cluster attribution (left at defaults on single-node records):

@@ -42,8 +42,10 @@ class SloTracker {
     std::string name = "slo";  ///< label on gauges and log events
     /// Target good fraction; the error budget is 1 - objective.
     double objective = 0.99;
-    /// Alert rules; any rule with both windows over threshold fires.
-    std::vector<BurnRateWindow> windows = {{60.0, 600.0, 2.0}};
+    /// Alert rules; any rule with both windows over threshold fires. The
+    /// default is one rule with BurnRateWindow's defaults (60 s / 600 s at
+    /// 2x burn).
+    std::vector<BurnRateWindow> windows = std::vector<BurnRateWindow>(1);
     double bucket_seconds = 1.0;
     /// The ring covers this much history; must be >= every long window.
     double horizon_seconds = 3600.0;

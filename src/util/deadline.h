@@ -112,7 +112,9 @@ struct ScanStats {
   // many vectors they touched.
   uint64_t codes_decoded = 0;  ///< quantized codes expanded for exact scores
   uint64_t lut_builds = 0;     ///< per-query ADC lookup-table constructions
-  uint64_t shortlist = 0;      ///< fast-scan candidates sent to re-rank
+  /// Items the fast-scan core rescored exactly (flat and IVF alike): those
+  /// whose approximate score passed the top-k heap's bound gate.
+  uint64_t shortlist = 0;
 };
 
 /// Cooperative controls a scan loop polls between chunks. Trivial controls

@@ -282,5 +282,231 @@ TEST(ScanKernelsTest, ControlAwareFastScanMatchesUncontrolled) {
   EXPECT_GE(stats.chunks, n / control.check_every_items);
 }
 
+// A random index over n items. With `distinct` > 0 the items share only
+// that many code vectors, so their scores tie in groups under any query.
+AdcIndex RandomAdc(size_t n, size_t m, size_t k, size_t d, size_t distinct,
+                   Rng& rng) {
+  std::vector<Matrix> codebooks;
+  for (size_t cb = 0; cb < m; ++cb) {
+    codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+  }
+  std::vector<std::vector<uint32_t>> pool(distinct == 0 ? n : distinct,
+                                          std::vector<uint32_t>(m));
+  for (auto& item : pool) {
+    for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k));
+  }
+  std::vector<std::vector<uint32_t>> codes(n);
+  for (size_t i = 0; i < n; ++i) {
+    codes[i] = distinct == 0 ? pool[i] : pool[rng.NextIndex(distinct)];
+  }
+  auto built = AdcIndex::Build(codebooks, codes);
+  EXPECT_TRUE(built.ok());
+  return std::move(built).value();
+}
+
+// True when Search takes the kernel path (LIGHTLT_SCAN_KERNEL=off or a
+// CPU without the kernel leaves only the exact scalar path).
+bool FastScanOn(const AdcIndex& idx) {
+  return std::string(idx.scan_kernel_name()) != "off";
+}
+
+// Bit-identity of `got` with the exact scalar top-k: same ids in the same
+// order, same float distances (not NEAR).
+void ExpectExactTopK(const AdcIndex& idx, const float* query, size_t top_k,
+                     const std::vector<SearchHit>& got) {
+  const auto want = ReferenceTopK(idx, query, top_k);
+  ASSERT_EQ(got.size(), want.size()) << "top_k=" << top_k;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "top_k=" << top_k << " i=" << i;
+    EXPECT_EQ(got[i].distance, want[i].distance)
+        << "top_k=" << top_k << " i=" << i;
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateMatchesExactTopKOnLargeCorpus) {
+  // n >> top_k: once the heap fills, whole blocks fail the bound gate and
+  // are never rescored — the result must still be the exact top-k.
+  Rng rng(17);
+  const size_t n = 5003, m = 4, d = 8;
+  for (const size_t k : {16u, 64u}) {
+    const AdcIndex idx = RandomAdc(n, m, k, d, 0, rng);
+    for (const size_t top_k : {1u, 10u, 100u}) {
+      Matrix q = Matrix::RandomGaussian(1, d, rng);
+      ScanControl control;
+      ScanStats stats;
+      control.stats = &stats;
+      auto got = idx.Search(q.data(), top_k, control);
+      ASSERT_TRUE(got.ok());
+      ExpectExactTopK(idx, q.data(), top_k, got.value());
+      ExpectExactTopK(idx, q.data(), top_k, idx.Search(q.data(), top_k));
+      EXPECT_EQ(stats.items, n);
+      if (FastScanOn(idx)) {
+        EXPECT_GE(stats.shortlist, top_k);
+        EXPECT_LT(stats.shortlist, n / 2) << "the gate pruned too little";
+        EXPECT_EQ(stats.codes_decoded, stats.shortlist * m);
+      }
+    }
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateKeepsItemsWithinTheErrorBound) {
+  // One far-out codeword per codebook that no item uses stretches every
+  // LUT row, so the u8 step (and the bound B) dwarfs the gaps between the
+  // scores items actually have: the gate is exact only with its B slack.
+  Rng rng(24);
+  const size_t n = 2000, m = 4, k = 16, d = 4;
+  std::vector<Matrix> codebooks;
+  for (size_t cb = 0; cb < m; ++cb) {
+    Matrix book = Matrix::RandomGaussian(k, d, rng);
+    for (size_t j = 0; j < d; ++j) book.row(k - 1)[j] *= 200.0f;
+    codebooks.push_back(std::move(book));
+  }
+  std::vector<std::vector<uint32_t>> codes(n, std::vector<uint32_t>(m));
+  for (auto& item : codes) {
+    for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k - 1));
+  }
+  auto built = AdcIndex::Build(codebooks, codes);
+  ASSERT_TRUE(built.ok());
+  for (const size_t top_k : {1u, 10u, 50u}) {
+    for (int t = 0; t < 5; ++t) {
+      Matrix q = Matrix::RandomGaussian(1, d, rng);
+      ExpectExactTopK(built.value(), q.data(), top_k,
+                      built.value().Search(q.data(), top_k));
+    }
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateMatchesExactTopKOnTinyCorpus) {
+  // Fewer items than one kernel block: a single zero-padded tail block.
+  Rng rng(18);
+  for (const size_t n : {1u, 7u, 31u}) {
+    const AdcIndex idx = RandomAdc(n, 3, 16, 5, 0, rng);
+    for (const size_t top_k : std::vector<size_t>{0, 1, n, n + 5}) {
+      Matrix q = Matrix::RandomGaussian(1, 5, rng);
+      ExpectExactTopK(idx, q.data(), top_k, idx.Search(q.data(), top_k));
+    }
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateBreaksTiesAtTheBoundaryById) {
+  // 40 code vectors shared by 1000 items: every score ties with ~25
+  // others, so the k-th place sits inside a tie group and only the id
+  // tie-break decides which members make the cut.
+  Rng rng(19);
+  const size_t n = 1000;
+  const AdcIndex idx = RandomAdc(n, 4, 64, 6, 40, rng);
+  for (const size_t top_k : std::vector<size_t>{0, 1, 10, 37, n, n + 5}) {
+    for (int t = 0; t < 3; ++t) {
+      Matrix q = Matrix::RandomGaussian(1, 6, rng);
+      ExpectExactTopK(idx, q.data(), top_k, idx.Search(q.data(), top_k));
+    }
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateHandlesZeroQuery) {
+  // A zero query makes every LUT entry 0: the quantized table is constant,
+  // scale is 0 and the approximate scores are the norms themselves.
+  Rng rng(20);
+  const size_t n = 300, m = 4, k = 16, d = 5;
+  const AdcIndex idx = RandomAdc(n, m, k, d, 0, rng);
+  const std::vector<float> zero(d, 0.0f);
+  std::vector<float> lut(m * k, 0.0f);
+  ASSERT_EQ(kn::QuantizeLut(lut.data(), m, k).scale, 0.0f);
+  for (const size_t top_k : std::vector<size_t>{0, 1, 10, n, n + 5}) {
+    ExpectExactTopK(idx, zero.data(), top_k, idx.Search(zero.data(), top_k));
+  }
+}
+
+TEST(ScanKernelsTest, HeapGateWithSubBlockChunksKeepsStats) {
+  // check_every_items below the 32-item kernel block: chunks poll and
+  // count per item range while the kernel and rescore run per block.
+  Rng rng(21);
+  const size_t n = 203, m = 4;
+  const AdcIndex idx = RandomAdc(n, m, 64, 6, 0, rng);
+  for (const size_t check_every : {1u, 5u, 16u, 31u}) {
+    for (const size_t top_k : std::vector<size_t>{1, 10, n}) {
+      Matrix q = Matrix::RandomGaussian(1, 6, rng);
+      ScanControl control;
+      control.check_every_items = check_every;
+      ScanStats stats;
+      control.stats = &stats;
+      auto got = idx.Search(q.data(), top_k, control);
+      ASSERT_TRUE(got.ok());
+      ExpectExactTopK(idx, q.data(), top_k, got.value());
+      EXPECT_EQ(stats.items, n);
+      EXPECT_EQ(stats.chunks, (n + check_every - 1) / check_every);
+      if (FastScanOn(idx)) {
+        EXPECT_EQ(stats.lut_builds, 2u);
+        EXPECT_GE(stats.shortlist, top_k);
+        EXPECT_LE(stats.shortlist, n);
+        EXPECT_EQ(stats.codes_decoded, stats.shortlist * m);
+      }
+    }
+  }
+}
+
+TEST(ScanKernelsTest, StoppedControlEndsRescoreOfDegenerateLut) {
+  // Identical codes make every score equal, so every item passes the gate
+  // and the rescore loop is where the scan spends its time. A control that
+  // is already stopped must end it after check_every_items rescores, in
+  // the first chunk — before any between-chunk check (which would count
+  // an overshoot) gets a chance.
+  Rng rng(22);
+  const size_t n = 200, m = 3, d = 4;
+  AdcIndex idx = RandomAdc(n, m, 16, d, 1, rng);
+  if (!FastScanOn(idx)) GTEST_SKIP() << "fast-scan kernel disabled";
+  obs::MetricsRegistry registry;
+  idx.Instrument(&registry, "adc_");
+  Matrix q = Matrix::RandomGaussian(1, d, rng);
+
+  CancellationSource cancel;
+  cancel.RequestCancellation();
+  ScanControl cancelled;
+  cancelled.cancel = cancel.token();
+  ScanControl expired;
+  expired.deadline = Deadline::After(0.0);
+  const std::pair<ScanControl*, StatusCode> cases[] = {
+      {&cancelled, StatusCode::kCancelled},
+      {&expired, StatusCode::kDeadlineExceeded}};
+  for (const auto& [control, code] : cases) {
+    control->check_every_items = 8;
+    ScanStats stats;
+    control->stats = &stats;
+    auto got = idx.Search(q.data(), 5, *control);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), code);
+    EXPECT_EQ(stats.shortlist, control->check_every_items);
+    EXPECT_EQ(stats.chunks, 0u);
+  }
+  EXPECT_EQ(registry.GetCounter("adc_scan_deadline_overshoot_total")->Value(),
+            0u);
+}
+
+TEST(ScanKernelsTest, IvfHeapIsBoundedByCorpusNotTopK) {
+  // top_k arrives off the wire as any u32: the heap must size to the
+  // corpus, not reserve top_k slots, and probing every cell returns all.
+  Rng rng(23);
+  const size_t n = 50, m = 2, k = 16, d = 4;
+  std::vector<Matrix> codebooks;
+  for (size_t cb = 0; cb < m; ++cb) {
+    codebooks.push_back(Matrix::RandomGaussian(k, d, rng));
+  }
+  std::vector<std::vector<uint32_t>> codes(n, std::vector<uint32_t>(m));
+  for (auto& item : codes) {
+    for (auto& c : item) c = static_cast<uint32_t>(rng.NextIndex(k));
+  }
+  IvfOptions opts;
+  opts.num_cells = 4;
+  opts.nprobe = 4;
+  auto ivf = IvfAdcIndex::Build(Matrix::RandomGaussian(n, d, rng), codebooks,
+                                codes, opts);
+  ASSERT_TRUE(ivf.ok());
+  Matrix q = Matrix::RandomGaussian(1, d, rng);
+  auto hits = ivf.value().Search(q.data(), size_t{0xFFFFFFFF}, ScanControl{},
+                                 0);
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits.value().size(), n);
+}
+
 }  // namespace
 }  // namespace lightlt::index

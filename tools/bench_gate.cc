@@ -3,11 +3,12 @@
 // change that slows the scan kernels, the serving path, or drops shadow
 // recall.
 //
-//   ./tool_bench_gate --baseline_serving=old/BENCH_serving.json \
-//       --candidate_serving=new/BENCH_serving.json \
-//       [--baseline_micro=old/BENCH_micro_index.json] \
-//       [--candidate_micro=new/BENCH_micro_index.json] \
-//       [--max_p95_regress_pct=60] [--min_qps_ratio=0.65] \
+// Usage, one command line:
+//   ./tool_bench_gate --baseline_serving=old/BENCH_serving.json
+//       --candidate_serving=new/BENCH_serving.json
+//       [--baseline_micro=old/BENCH_micro_index.json]
+//       [--candidate_micro=new/BENCH_micro_index.json]
+//       [--max_p95_regress_pct=60] [--min_qps_ratio=0.65]
 //       [--max_recall_drop=0.05] [--max_micro_regress_pct=30]
 //
 // Exit codes: 0 gate passed, 1 regression found, 2 usage/IO error.
