@@ -1,6 +1,6 @@
 // Scalable serving walkthrough: the RetrievalService facade with IVF
-// acceleration and exact re-ranking — how a production deployment would
-// wrap a trained LightLT model for large databases.
+// acceleration — how a production deployment would wrap a trained LightLT
+// model for large databases.
 //
 //   ./example_scalable_serving [--seed=7] [--cells=64] [--nprobe=8]
 
@@ -41,8 +41,6 @@ int main(int argc, char** argv) {
   ivf_opts.use_ivf = true;
   ivf_opts.ivf.num_cells = cells;
   ivf_opts.ivf.nprobe = nprobe;
-  ivf_opts.exact_rerank = true;
-  ivf_opts.rerank_pool = 50;
   auto fast = serving::RetrievalService::Build(
       model, bench.database.features, ivf_opts);
   if (!plain.ok() || !fast.ok()) {
@@ -83,10 +81,10 @@ int main(int argc, char** argv) {
   };
 
   run(plain.value(), "exhaustive ADC");
-  run(fast.value(), "IVF + exact rerank");
+  run(fast.value(), "IVF");
 
   std::printf(
       "\nThe IVF service answers from a fraction of the database with near-"
-      "identical\nhit rate; the rerank pool polishes the final ordering.\n");
+      "identical\nhit rate.\n");
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/obs/profile.h"
 #include "src/util/timer.h"
 
 namespace lightlt::net {
@@ -160,12 +161,8 @@ serving::ReplicaAttempt RemoteSearcherClient::Search(
   // The rpc span covers dial + send + server turnaround + receive; the
   // stitched server subtree lands under it, so per-hop wire time shows up
   // as the gap between this span's start and the remote rpc_recv start.
-  obs::Span rpc_span;
+  obs::ProfilePhase rpc_phase("rpc", trace, parent);
   const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
-  if (trace != nullptr) {
-    rpc_span = parent != nullptr ? trace->StartSpan("rpc", *parent)
-                                 : trace->StartSpan("rpc");
-  }
 
   Result<Socket> acquired = Acquire(control);
   if (!acquired.ok()) {
@@ -188,7 +185,7 @@ serving::ReplicaAttempt RemoteSearcherClient::Search(
   req.query.assign(query, query + dim);
   if (trace != nullptr) {
     req.trace.trace_id = trace_id;
-    req.trace.parent_span = rpc_span.index();
+    req.trace.parent_span = rpc_phase.span().index();
     req.trace.sampled = true;
     req.trace.unix_minus_steady = trace->unix_minus_steady();
   }
@@ -241,10 +238,9 @@ serving::ReplicaAttempt RemoteSearcherClient::Search(
     trace_drops_.fetch_add(1, std::memory_order_relaxed);
     if (trace_drops_counter_ != nullptr) trace_drops_counter_->Increment();
   } else if (trace != nullptr && !resp.spans.empty()) {
-    trace->AttachRemote(rpc_span, std::move(resp.spans),
+    trace->AttachRemote(rpc_phase.span(), std::move(resp.spans),
                         static_cast<int32_t>(shard));
   }
-  rpc_span.End();
 
   const StatusCode code = StatusCodeFromWire(resp.code);
   attempt.shed = resp.shed;

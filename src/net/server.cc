@@ -247,14 +247,13 @@ bool ShardServer::ServeFrame(Socket* sock, const Frame& frame,
                                       : Deadline::After(req.budget_seconds);
         const ScanControl control{deadline, hard_stop_.token(),
                                   options_.scan_check_every};
-        obs::Span scan_span;
-        if (trace != nullptr) {
-          scan_span = trace->StartSpan("scan", rpc_span);
+        serving::ReplicaAttempt attempt;
+        {
+          obs::ProfilePhase scan_phase("scan", trace.get(), &rpc_span);
+          attempt = shards_->SearchReplica(
+              req.shard, req.replica, req.query.data(), req.top_k, control,
+              trace.get(), &scan_phase.span());
         }
-        serving::ReplicaAttempt attempt = shards_->SearchReplica(
-            req.shard, req.replica, req.query.data(), req.top_k, control,
-            trace.get(), trace != nullptr ? &scan_span : nullptr);
-        scan_span.End();
         resp.code = static_cast<int32_t>(attempt.status.code());
         resp.message = attempt.status.message();
         resp.hits = std::move(attempt.hits);

@@ -140,7 +140,12 @@ uint64_t ReadThreadCpu(const ThreadStack& s) {
 
 }  // namespace
 
-ProfilePhase::ProfilePhase(const char* name) {
+ProfilePhase::ProfilePhase(const char* name, Trace* trace,
+                           const Span* parent) {
+  if (trace != nullptr) {
+    span_ = parent != nullptr ? trace->StartSpan(name, *parent)
+                              : trace->StartSpan(name);
+  }
   ThreadStack* s = ThisThreadStack();
   const uint32_t d = s->depth.load(std::memory_order_relaxed);
   if (d >= kMaxProfileDepth) {

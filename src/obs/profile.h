@@ -1,15 +1,19 @@
 // Continuous profiling with per-thread phase stacks (DESIGN.md §16).
 //
-// Code annotates itself with RAII ProfilePhase tags ("serve", "adc_scan",
-// "rerank", ...). Each thread keeps a small fixed-depth stack of tag names;
+// Code annotates itself with RAII ProfilePhase tags ("query", "search",
+// "adc_scan", ...). Each thread keeps a small fixed-depth stack of tag names;
 // pushing/popping is two relaxed/release atomic stores — cheap enough for
 // request-path and scan-phase granularity (never per vector). A Profiler
 // samples every annotated thread from a dedicated thread (no signals): each
 // tick it walks the live phase stacks and accumulates one observation per
-// busy thread into collapsed-stack aggregates ("serve;adc_scan" -> samples,
+// busy thread into collapsed-stack aggregates ("query;adc_scan" -> samples,
 // wall-ns, cpu-ns). Wall time is attributed from the sampler's injectable
 // clock; CPU time from the sampled thread's CLOCK_THREAD_CPUTIME_ID, so an
 // off-CPU phase (lock waits, blocked I/O) shows wall without cpu.
+//
+// A ProfilePhase given a trace also opens a span of the same name, so one
+// annotation names a request phase in both the profile and the span tree
+// (the phase names and their intervals are listed in DESIGN.md §16).
 //
 // Determinism contract: Start() runs a real sampler thread on the steady
 // clock, but tests drive SampleOnce() by hand with an injectable clock and
@@ -42,6 +46,7 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
+#include "src/obs/trace.h"
 #include "src/util/status.h"
 
 namespace lightlt::obs {
@@ -58,17 +63,25 @@ uint64_t ThreadCpuNowNanos();
 /// RAII phase tag. `name` must have static storage duration (string
 /// literals) — the sampler reads the pointer from another thread long after
 /// the call site returned. Tags nest; a tag pushed past kMaxProfileDepth is
-/// counted as truncated and pops nothing.
+/// counted as truncated and pops nothing. When `trace` is non-null the
+/// phase also opens a span named `name` under `parent` (null or empty: a
+/// root span) that closes with the phase.
 class ProfilePhase {
  public:
-  explicit ProfilePhase(const char* name);
+  explicit ProfilePhase(const char* name, Trace* trace = nullptr,
+                        const Span* parent = nullptr);
   ~ProfilePhase();
 
   ProfilePhase(const ProfilePhase&) = delete;
   ProfilePhase& operator=(const ProfilePhase&) = delete;
 
+  /// The phase's span; empty without a trace. Nested phases take its
+  /// address as their `parent`.
+  const Span& span() const { return span_; }
+
  private:
   void* state_ = nullptr;  ///< owning thread's stack; null when truncated
+  Span span_;
 };
 
 /// One collapsed stack ("a;b;c") with its sampled totals.

@@ -125,6 +125,13 @@ int32_t Trace::AddCompleteSpan(const std::string& name, const Span& parent,
   return static_cast<int32_t>(records_.size() - 1);
 }
 
+void Trace::SetShard(const Span& span, int32_t shard) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (span.index_ >= 0 && static_cast<size_t>(span.index_) < records_.size()) {
+    records_[span.index_].shard = shard;
+  }
+}
+
 void Trace::AttachRemote(const Span& parent,
                          std::vector<SpanRecord> remote, int32_t shard) {
   if (remote.empty()) return;
@@ -200,7 +207,7 @@ void RenderSubtree(const std::vector<Trace::SpanRecord>& records,
     } else {
       *out += " (open)";
     }
-    if (r.remote) {
+    if (r.shard >= 0) {
       *out += " [shard " + std::to_string(r.shard) + "]";
     }
     out->push_back('\n');

@@ -3,8 +3,10 @@
 // A Trace owns the span records of one request; a Span is a move-only RAII
 // handle that closes its record on destruction (or an explicit End()).
 // Spans form a tree via parent indices, mapping onto the request lifecycle
-// of §9: query → embed / admission / search → (ivf_route | adc_scan) /
-// rerank. The clock is injectable so tests assert exact durations.
+// of §9: query → embed / request → admission / search → (ivf_search |
+// adc_search). Serving code opens these spans through obs::ProfilePhase
+// (profile.h), so a span and its profile frame share one name. The clock is
+// injectable so tests assert exact durations.
 //
 // Since PR 9 a trace is also the stitching point for distributed requests
 // (DESIGN.md §15): every trace carries a 64-bit trace id plus a wall-clock
@@ -75,7 +77,7 @@ class Trace {
     int32_t parent = -1;       ///< index of the parent record, -1 = root
     uint64_t start_ns = 0;
     uint64_t end_ns = 0;       ///< 0 while still open
-    int32_t shard = -1;        ///< owning shard for stitched remote spans
+    int32_t shard = -1;        ///< owning shard (remote or per-shard span)
     bool remote = false;       ///< recorded in another process
   };
 
@@ -122,6 +124,10 @@ class Trace {
   /// Records an already-finished span; returns its record index.
   int32_t AddCompleteSpan(const std::string& name, const Span& parent,
                           uint64_t start_ns, uint64_t end_ns);
+
+  /// Attributes `span`'s record to `shard` (SpanRecord::shard), e.g. the
+  /// router's per-shard span. No-op for an empty span.
+  void SetShard(const Span& span, int32_t shard);
 
   /// Splices a remote subtree under `parent`: parent indices inside
   /// `remote` are re-based onto this trace's record vector (roots of the

@@ -8,8 +8,8 @@
 //   3. backlog > max_queue_depth     → soft overload
 //   4. in_flight >= degrade_in_flight→ soft overload
 // Soft overload resolves per `on_overload`: kShed rejects, kDegrade admits
-// the request in degraded mode (the service then drops exact re-ranking,
-// shrinks the rerank pool to top_k and forces the flat scan path).
+// the request in degraded mode (the service then skips the IVF path and
+// serves from the flat scan).
 //
 // Thread-safe; the token-bucket clock is injectable for deterministic
 // tests.
@@ -45,7 +45,7 @@ struct AdmissionOptions {
 
 enum class AdmissionOutcome {
   kAdmit,    // serve at full quality
-  kDegrade,  // serve, but shed optional work (rerank, IVF)
+  kDegrade,  // serve, but shed optional work (the IVF path)
   kShed,     // reject with kUnavailable
 };
 

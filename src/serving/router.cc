@@ -22,13 +22,6 @@ bool AllFinite(const Matrix& m) {
   return true;
 }
 
-obs::Span MaybeSpan(obs::Trace* trace, const std::string& name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
-}
-
 }  // namespace
 
 Router::Router(std::shared_ptr<const SearchTransport> transport,
@@ -60,10 +53,10 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
                                          obs::Trace* trace,
                                          const obs::Span* parent) const {
   ShardOutcome outcome;
-  obs::ProfilePhase shard_phase("shard_search");
-  obs::Span shard_span =
-      MaybeSpan(trace, "shard_" + std::to_string(shard), parent);
-  const obs::Span* shard_parent = trace ? &shard_span : nullptr;
+  obs::ProfilePhase shard_phase("shard_search", trace, parent);
+  if (trace != nullptr) {
+    trace->SetShard(shard_phase.span(), static_cast<int32_t>(shard));
+  }
 
   // Every failover verdict is logged with the request's trace id, so a
   // stitched trace dump and the router's log lines join by grep
@@ -129,7 +122,7 @@ Router::ShardOutcome Router::SearchShard(size_t shard, const float* query,
     ++outcome.attempts;
     const ScanControl control{sub, cancel, options_.scan_check_every};
     ReplicaAttempt attempt = transport_->SearchReplica(
-        shard, replica, query, top_k, control, trace, shard_parent);
+        shard, replica, query, top_k, control, trace, &shard_phase.span());
 
     if (attempt.status.ok()) {
       // Health still hears about slow successes (slow_latency_seconds);
@@ -190,21 +183,21 @@ RoutedResult Router::Search(const float* query, size_t top_k,
   RoutedResult result;
   result.shard_status.resize(num_shards);
 
-  obs::Span router_span = MaybeSpan(trace, "router", parent);
-  const obs::Span* router_parent = trace ? &router_span : nullptr;
+  obs::ProfilePhase router_phase("router", trace, parent);
 
   // Scatter: one task per shard. Each task observes the request deadline
   // internally (sub-deadlines bound every attempt), so a plain Wait()
   // returns promptly after expiry — at most one chunk of scan work late.
   std::vector<ShardOutcome> outcomes(num_shards);
   {
-    obs::ProfilePhase scatter_phase("router_scatter");
+    obs::ProfilePhase scatter_phase("router_scatter", trace,
+                                    &router_phase.span());
     TaskGroup group(options_.pool);
     for (size_t s = 0; s < num_shards; ++s) {
       group.Submit([&, s] {
         try {
           outcomes[s] = SearchShard(s, query, top_k, deadline, cancel, trace,
-                                    router_parent);
+                                    &scatter_phase.span());
         } catch (const std::exception& e) {
           outcomes[s].status = Status::Internal(
               std::string("router: shard task failed: ") + e.what());
@@ -218,7 +211,7 @@ RoutedResult Router::Search(const float* query, size_t top_k,
 
   // Gather: successful shards contribute hits and coverage; failed shards
   // contribute their status to the terminal verdict.
-  obs::ProfilePhase merge_phase("router_merge");
+  obs::ProfilePhase merge_phase("router_merge", trace, &router_phase.span());
   std::vector<index::SearchHit> merged;
   size_t covered = 0;
   bool saw_expired = false;
@@ -416,16 +409,15 @@ Result<ClusterResponse> ClusterService::Query(
   obs::Trace internal_trace;
   obs::Trace* trace = request.trace;
   if (slow_log_ != nullptr && trace == nullptr) trace = &internal_trace;
-  obs::Span query_span = MaybeSpan(trace, "cluster_query", nullptr);
-  const obs::Span* query_parent = trace ? &query_span : nullptr;
+  obs::ProfilePhase query_phase("cluster_query", trace);
   Matrix embedded;
   {
-    obs::Span embed_span = MaybeSpan(trace, "embed", query_parent);
+    obs::ProfilePhase phase("embed", trace, &query_phase.span());
     embedded = model_->Embed(features);
   }
   const RoutedResult routed =
       router_->Search(embedded.row(0), top_k, request.deadline, request.cancel,
-                      trace, query_parent);
+                      trace, &query_phase.span());
   const double elapsed = timer.ElapsedSeconds();
   MaybeCaptureSlowQuery(slow_log_.get(), routed, elapsed, trace);
   inst_.failovers->Increment(routed.failovers);

@@ -121,8 +121,10 @@ class Router {
 
   /// Routes one embedded query. `deadline`/`cancel` bound the whole
   /// fan-out; each shard attempt gets a sub-deadline derived from the
-  /// remaining budget. Span tree when `trace` is non-null:
-  /// router → shard_<s> → (ivf_route | adc_scan) / rerank.
+  /// remaining budget. Span tree when `trace` is non-null (the same names
+  /// tag the profile frames): router → router_scatter → shard_search
+  /// (shard number in the span record) → (ivf_search | adc_search, or rpc
+  /// over a remote transport); router → router_merge.
   RoutedResult Search(const float* query, size_t top_k,
                       const Deadline& deadline,
                       const CancellationToken& cancel, obs::Trace* trace,
@@ -155,7 +157,7 @@ class Router {
 struct ClusterOptions {
   size_t num_shards = 2;
   size_t num_replicas = 2;
-  /// Per-replica search engine (rerank, IVF, breaker).
+  /// Per-replica search engine (IVF, breaker).
   SearcherOptions searcher;
   /// Per-replica admission budget.
   AdmissionOptions replica_admission;

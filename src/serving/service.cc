@@ -30,14 +30,6 @@ bool RowFinite(const Matrix& m, size_t row) {
   return true;
 }
 
-/// Opens `name` under `parent` when tracing is on; an empty Span otherwise.
-obs::Span MaybeSpan(obs::Trace* trace, const char* name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
-}
-
 }  // namespace
 
 void RetrievalService::Instruments::Register(obs::MetricsRegistry* registry) {
@@ -138,12 +130,10 @@ Result<RetrievalService> RetrievalService::Build(
   model->dsq().Encode(embedded, &codes);
 
   // The search engine is one ReplicaSearcher — the same breaker-gated
-  // flat-ADC + optional-IVF + rerank unit a ClusterService replicates per
+  // flat-ADC + optional-IVF unit a ClusterService replicates per
   // shard. Instrumented under the service's historical metric names
   // ("adc_*"/"ivf_*" scan telemetry, serving_flat_fallbacks_total).
   SearcherOptions searcher_options;
-  searcher_options.rerank_pool = options.rerank_pool;
-  searcher_options.exact_rerank = options.exact_rerank;
   searcher_options.use_ivf = options.use_ivf;
   searcher_options.ivf = options.ivf;
   searcher_options.breaker = options.breaker;
@@ -284,7 +274,7 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     size_t observed_depth, obs::Trace* trace, const obs::Span* parent,
     int class_bucket, RequestCost* cost) const {
   WallTimer timer;
-  obs::ProfilePhase request_phase("request");
+  obs::ProfilePhase request_phase("request", trace, parent);
   // The whole post-embedding lifecycle runs on this thread (per-query scan
   // work is single-threaded; parallelism is across queries), so the
   // thread-CPU delta is exactly the request's compute.
@@ -325,7 +315,7 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
 
   AdmissionOutcome outcome;
   {
-    obs::Span admission_span = MaybeSpan(trace, "admission", parent);
+    obs::ProfilePhase phase("admission", trace, &request_phase.span());
     outcome = admission_->TryAdmit(observed_depth);
   }
   if (outcome == AdmissionOutcome::kShed) {
@@ -343,10 +333,9 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
 
   bool used_fallback = false;
   auto result = [&]() -> Result<std::vector<ServedHit>> {
-    obs::Span search_span = MaybeSpan(trace, "search", parent);
+    obs::ProfilePhase phase("search", trace, &request_phase.span());
     auto hits = searcher_->Search(query, top_k, control, degraded, trace,
-                                  trace ? &search_span : nullptr,
-                                  &used_fallback);
+                                  &phase.span(), &used_fallback);
     if (!hits.ok()) return hits.status();
     std::vector<ServedHit> out(hits.value().size());
     for (size_t i = 0; i < out.size(); ++i) {
@@ -393,7 +382,7 @@ Result<std::vector<ServedHit>> RetrievalService::ServeEmbedded(
     }
     record.explain.degraded = degraded;
     record.explain.flat_fallback = used_fallback;
-    // The root query span is typically still open here (end_ns == 0); the
+    // The query and request spans are still open here (end_ns == 0); the
     // closed child spans carry the useful timing.
     if (trace != nullptr) record.spans = trace->Records();
     slow_log_->Add(std::move(record));
@@ -416,7 +405,6 @@ Result<std::vector<ServedHit>> RetrievalService::Query(
   if (!AllFinite(features)) {
     return Status::InvalidArgument("Query: features contain NaN/Inf");
   }
-  obs::ProfilePhase serve_phase("serve");
   ScanStats scan_stats;
   ScanControl control{request.deadline, request.cancel,
                       options_.scan_check_every};
@@ -432,17 +420,15 @@ Result<std::vector<ServedHit>> RetrievalService::Query(
   if (slow_log_ != nullptr && trace == nullptr) {
     trace = &internal_trace;
   }
-  obs::Span query_span = MaybeSpan(trace, "query", nullptr);
+  obs::ProfilePhase query_phase("query", trace);
   Matrix embedded;
   {
-    obs::Span embed_span =
-        MaybeSpan(trace, "embed", trace ? &query_span : nullptr);
+    obs::ProfilePhase phase("embed", trace, &query_phase.span());
     embedded = model_->Embed(features);
   }
   return ServeEmbedded(embedded.row(0), top_k, control,
-                       /*observed_depth=*/0, trace,
-                       trace ? &query_span : nullptr, request.class_bucket,
-                       request.cost);
+                       /*observed_depth=*/0, trace, &query_phase.span(),
+                       request.class_bucket, request.cost);
 }
 
 Result<std::vector<Result<std::vector<ServedHit>>>>

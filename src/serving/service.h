@@ -1,7 +1,6 @@
 // RetrievalService: the deployment-facing facade. Owns a trained LightLT
 // model plus a compressed index and serves labelled top-k queries, with
-// optional exact re-ranking of the candidate pool and optional IVF
-// acceleration for large databases.
+// optional IVF acceleration for large databases.
 //
 // Robustness contract: artifacts are validated at Build (finite weights and
 // database features, consistent dimensions), non-finite query features are
@@ -11,7 +10,7 @@
 //
 // Request lifecycle (DESIGN.md §9): every query passes through
 //   deadline/cancel check → admission → (breaker-gated IVF | flat scan)
-//   → rerank → served
+//   → served
 // and ends in exactly one outcome — served, shed (kUnavailable), expired
 // (kDeadlineExceeded), cancelled (kCancelled) or failed — all visible in
 // the ServiceStats snapshot.
@@ -61,13 +60,6 @@ struct ServiceDriftOptions {
 };
 
 struct ServiceOptions {
-  /// Candidate pool size fetched from the compressed index before
-  /// re-ranking; 0 = exactly top_k (no over-fetch).
-  size_t rerank_pool = 0;
-  /// Re-rank the candidate pool by exact distance to the stored
-  /// reconstructions (cheap) — mitigates quantization error in the head of
-  /// the ranking.
-  bool exact_rerank = false;
   /// Use the IVF-accelerated index (requires ivf options at Build time).
   bool use_ivf = false;
   index::IvfOptions ivf;
@@ -110,8 +102,8 @@ struct RequestOptions {
   Deadline deadline;
   CancellationToken cancel;
   /// Opt-in span tracing for single-query calls: Query() records the
-  /// query → embed / admission / search → (ivf_route|adc_scan) / rerank
-  /// tree into this trace. Null (default) costs one branch per span site.
+  /// query → embed / request → admission / search → (ivf_search |
+  /// adc_search) tree into this trace. Null (default) costs one branch per span site.
   /// QueryBatch rows are not traced (metrics cover the aggregate path).
   obs::Trace* trace = nullptr;
   /// When set, Query() fills it with the request's resource vector. Must
@@ -260,7 +252,8 @@ class RetrievalService {
 
   /// Full post-embedding lifecycle for one query: deadline/cancel check,
   /// admission, breaker-gated search, outcome and cost accounting. `trace`
-  /// (may be null) hangs lifecycle spans under `parent`; `class_bucket`
+  /// (may be null) hangs the request → admission / search spans under
+  /// `parent`; `class_bucket`
   /// segments the cost counters; `cost` (may be null) receives the
   /// request's resource vector.
   Result<std::vector<ServedHit>> ServeEmbedded(const float* query,
@@ -294,7 +287,7 @@ class RetrievalService {
 
   ServiceOptions options_;
   std::shared_ptr<const core::LightLtModel> model_;
-  /// The breaker-gated search engine (flat ADC + optional IVF + rerank) —
+  /// The breaker-gated search engine (flat ADC + optional IVF) —
   /// the same unit a ClusterService replicates per shard.
   std::unique_ptr<ReplicaSearcher> searcher_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;

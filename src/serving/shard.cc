@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/obs/profile.h"
 #include "src/util/chaos.h"
 #include "src/util/check.h"
 #include "src/util/timer.h"
 
 namespace lightlt::serving {
-namespace {
-
-/// Rerank hits checked this often against the request deadline/token.
-constexpr size_t kRerankCheckEvery = 64;
-
-obs::Span MaybeSpan(obs::Trace* trace, const char* name,
-                    const obs::Span* parent) {
-  if (trace == nullptr) return obs::Span();
-  if (parent != nullptr) return trace->StartSpan(name, *parent);
-  return trace->StartSpan(name);
-}
-
-}  // namespace
 
 Result<ReplicaSearcher> ReplicaSearcher::Build(
     const Matrix& embedded, const std::vector<Matrix>& codebooks,
@@ -34,7 +22,6 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
         "ReplicaSearcher: embedded rows / codes count mismatch");
   }
   ReplicaSearcher searcher;
-  searcher.options_ = options;
   if (options.use_ivf) {
     auto ivf =
         index::IvfAdcIndex::Build(embedded, codebooks, codes, options.ivf);
@@ -43,8 +30,8 @@ Result<ReplicaSearcher> ReplicaSearcher::Build(
         std::make_unique<index::IvfAdcIndex>(std::move(ivf).value());
     searcher.breaker_ = std::make_shared<CircuitBreaker>(options.breaker);
   }
-  // The flat ADC index is always kept: it serves re-ranking lookups
-  // (Reconstruct) and is the fallback scan path.
+  // The flat ADC index is always kept: it serves degraded requests and is
+  // the fallback scan path.
   auto adc = index::AdcIndex::Build(codebooks, codes);
   if (!adc.ok()) return adc.status();
   searcher.adc_ = std::make_unique<index::AdcIndex>(std::move(adc).value());
@@ -61,82 +48,38 @@ Result<std::vector<index::SearchHit>> ReplicaSearcher::Search(
     const float* query, size_t top_k, const ScanControl& control,
     bool degraded, obs::Trace* trace, const obs::Span* parent,
     bool* used_fallback) const {
-  // Degraded requests shed the optional work: no over-fetch, no exact
-  // rerank, and the flat scan instead of the IVF path.
-  const bool rerank = options_.exact_rerank && !degraded;
-  const size_t pool = std::max(top_k, rerank ? options_.rerank_pool : top_k);
-
-  std::vector<index::SearchHit> hits;
-  bool have_hits = false;
+  // Degraded requests shed the optional work: the flat scan instead of the
+  // IVF path.
   if (ivf_ != nullptr && !degraded) {
-    obs::Span ivf_span = MaybeSpan(trace, "ivf_route", parent);
+    obs::ProfilePhase phase("ivf_search", trace, parent);
     // Graceful degradation: the flat ADC index covers the whole partition,
     // so if the IVF path fails or its probed cells yield fewer candidates
     // than the flat scan would, fall back rather than fail or silently
     // shortchange the caller. Repeated failures open the breaker, which
     // routes straight to the flat scan until a cooldown probe succeeds.
-    const size_t expected = std::min(pool, adc_->num_items());
     if (breaker_->AllowRequest()) {
-      auto ivf_hits = ivf_->Search(query, pool, control, /*nprobe=*/0);
-      if (ivf_hits.ok()) {
-        if (ivf_hits.value().size() >= expected) {
+      auto hits = ivf_->Search(query, top_k, control, /*nprobe=*/0);
+      if (hits.ok()) {
+        if (hits.value().size() >= std::min(top_k, adc_->num_items())) {
           breaker_->RecordSuccess();
-          hits = std::move(ivf_hits).value();
-          have_hits = true;
-        } else {
-          breaker_->RecordFailure();  // shortfall
+          return hits;
         }
-      } else if (ivf_hits.status().code() == StatusCode::kDeadlineExceeded ||
-                 ivf_hits.status().code() == StatusCode::kCancelled) {
+        breaker_->RecordFailure();  // shortfall
+      } else if (hits.status().code() == StatusCode::kDeadlineExceeded ||
+                 hits.status().code() == StatusCode::kCancelled) {
         // The request ran out of budget mid-scan — that says nothing about
         // IVF health, so the breaker gets no verdict.
         breaker_->RecordAbandoned();
-        return ivf_hits.status();
+        return hits.status();
       } else {
         breaker_->RecordFailure();
       }
     }
-    if (!have_hits) {
-      if (flat_fallbacks_ != nullptr) flat_fallbacks_->Increment();
-      if (used_fallback != nullptr) *used_fallback = true;
-    }
+    if (flat_fallbacks_ != nullptr) flat_fallbacks_->Increment();
+    if (used_fallback != nullptr) *used_fallback = true;
   }
-  if (!have_hits) {
-    obs::Span scan_span = MaybeSpan(trace, "adc_scan", parent);
-    auto flat = adc_->Search(query, pool, control);
-    if (!flat.ok()) return flat.status();
-    hits = std::move(flat).value();
-  }
-
-  if (rerank) {
-    obs::Span rerank_span = MaybeSpan(trace, "rerank", parent);
-    // Re-rank the pool by exact distance to the reconstructions: the ADC
-    // score already is that distance up to a query-constant, so re-ranking
-    // only matters when the candidate pool came from a lossier path (IVF
-    // probing) or a future approximate scorer; it is cheap either way.
-    const size_t d = adc_->dim();
-    for (size_t i = 0; i < hits.size(); ++i) {
-      if (i % kRerankCheckEvery == 0 && !control.Trivial()) {
-        LIGHTLT_RETURN_IF_ERROR(control.Check());
-      }
-      auto& hit = hits[i];
-      const Matrix recon = adc_->Reconstruct(hit.id);
-      float dist = 0.0f;
-      for (size_t j = 0; j < d; ++j) {
-        const float diff = query[j] - recon[j];
-        dist += diff * diff;
-      }
-      hit.distance = dist;
-    }
-    std::sort(hits.begin(), hits.end(),
-              [](const index::SearchHit& a, const index::SearchHit& b) {
-                return a.distance < b.distance ||
-                       (a.distance == b.distance && a.id < b.id);
-              });
-  }
-
-  if (hits.size() > top_k) hits.resize(top_k);
-  return hits;
+  obs::ProfilePhase phase("adc_search", trace, parent);
+  return adc_->Search(query, top_k, control);
 }
 
 size_t ReplicaSearcher::MemoryBytes() const {

@@ -1,11 +1,11 @@
 // Sharded search building blocks (DESIGN.md §13).
 //
 // ReplicaSearcher is the single-partition search engine extracted from
-// RetrievalService: a flat ADC index that always covers its partition, an
-// optional IVF accelerator behind a CircuitBreaker, and the optional exact
-// re-rank — with the same degradation ladder (breaker-gated IVF → flat
-// fallback) and the same deterministic (distance, id) ordering. One
-// RetrievalService owns exactly one; a ShardSet owns a grid of them.
+// RetrievalService: a flat ADC index that always covers its partition and
+// an optional IVF accelerator behind a CircuitBreaker — with the same
+// degradation ladder (breaker-gated IVF → flat fallback) and the same
+// deterministic (distance, id) ordering. One RetrievalService owns exactly
+// one; a ShardSet owns a grid of them.
 //
 // ShardSet partitions a database's rows into `num_shards` contiguous
 // ranges and builds `num_replicas` independent ReplicaSearcher copies per
@@ -39,10 +39,6 @@ namespace lightlt::serving {
 /// Per-searcher configuration, shared by the single-node service and every
 /// cluster replica.
 struct SearcherOptions {
-  /// Candidate pool size fetched before re-ranking; 0 = exactly top_k.
-  size_t rerank_pool = 0;
-  /// Re-rank the candidate pool by exact distance to the reconstructions.
-  bool exact_rerank = false;
   /// Use the IVF-accelerated index.
   bool use_ivf = false;
   index::IvfOptions ivf;
@@ -50,8 +46,8 @@ struct SearcherOptions {
   CircuitBreakerOptions breaker;
 };
 
-/// One partition's breaker-gated search engine: flat ADC (always present),
-/// optional IVF, optional exact re-rank. Moveable; not copyable.
+/// One partition's breaker-gated search engine: flat ADC (always present)
+/// and optional IVF. Moveable; not copyable.
 class ReplicaSearcher {
  public:
   /// `embedded` is the partition's embedded vectors (rows of the database
@@ -61,12 +57,12 @@ class ReplicaSearcher {
       const std::vector<std::vector<uint32_t>>& codes,
       const SearcherOptions& options);
 
-  /// Candidate retrieval + rerank with graceful degradation: IVF behind
-  /// the breaker, flat fallback on IVF failure/shortfall, deterministic
-  /// (distance, id) order. `degraded` skips the optional work (IVF path,
-  /// over-fetch, rerank). `used_fallback` (may be null) reports whether the
-  /// flat scan served although IVF was enabled. Span names: ivf_route /
-  /// adc_scan / rerank under `parent` when `trace` is non-null.
+  /// Top-k retrieval with graceful degradation: IVF behind the breaker,
+  /// flat fallback on IVF failure/shortfall, deterministic (distance, id)
+  /// order. `degraded` skips the IVF path. `used_fallback` (may be null)
+  /// reports whether the flat scan served although IVF was enabled. Phases
+  /// (profile frame, and a span under `parent` when `trace` is non-null):
+  /// ivf_search for the IVF attempt, adc_search for the flat scan.
   Result<std::vector<index::SearchHit>> Search(const float* query,
                                                size_t top_k,
                                                const ScanControl& control,
@@ -90,7 +86,6 @@ class ReplicaSearcher {
   size_t num_items() const { return adc_ ? adc_->num_items() : 0; }
   size_t dim() const { return adc_ ? adc_->dim() : 0; }
   size_t MemoryBytes() const;
-  Matrix Reconstruct(size_t item) const { return adc_->Reconstruct(item); }
   bool has_ivf() const { return ivf_ != nullptr; }
   /// Null unless IVF is enabled. Shared so callback gauges can co-own it.
   const std::shared_ptr<CircuitBreaker>& breaker() const { return breaker_; }
@@ -101,7 +96,6 @@ class ReplicaSearcher {
  private:
   ReplicaSearcher() = default;
 
-  SearcherOptions options_;
   std::unique_ptr<index::AdcIndex> adc_;
   std::unique_ptr<index::IvfAdcIndex> ivf_;
   std::shared_ptr<CircuitBreaker> breaker_;  // null unless IVF enabled

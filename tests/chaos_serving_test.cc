@@ -170,7 +170,7 @@ TEST(ChaosServingTest, EveryLifecycleOutcomeWithExactStats) {
 }
 
 // Soft overload with the kDegrade policy: the second concurrent request is
-// admitted but sheds its optional work (IVF path, exact rerank).
+// admitted but sheds its optional work (the IVF path).
 TEST(ChaosServingTest, SoftOverloadDegradesInsteadOfShedding) {
   ChaosGuard guard;
   auto f = MakeFixture();
@@ -178,8 +178,6 @@ TEST(ChaosServingTest, SoftOverloadDegradesInsteadOfShedding) {
   opts.use_ivf = true;
   opts.ivf.num_cells = 10;
   opts.ivf.nprobe = 2;
-  opts.exact_rerank = true;
-  opts.rerank_pool = 20;
   opts.admission.degrade_in_flight = 1;
   opts.admission.on_overload = AdmissionOptions::OverloadPolicy::kDegrade;
   auto built = RetrievalService::Build(f.model, f.bench.database.features,
@@ -195,8 +193,8 @@ TEST(ChaosServingTest, SoftOverloadDegradesInsteadOfShedding) {
   std::thread held([&] { EXPECT_TRUE(service.Query(query, 3).ok()); });
   ASSERT_TRUE(SpinUntil([&] { return service.Stats().in_flight == 1; }, 30.0));
 
-  // B: admitted degraded — flat scan (never touches the held IVF gate),
-  // no rerank — and completes while A is still pinned.
+  // B: admitted degraded — flat scan (never touches the held IVF gate) —
+  // and completes while A is still pinned.
   auto b = service.Query(query, 3);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b.value().size(), 3u);
@@ -462,8 +460,6 @@ TEST(ChaosServingTest, DegradedFallbackCountersMatchRegistryExactly) {
   opts.use_ivf = true;
   opts.ivf.num_cells = 10;
   opts.ivf.nprobe = 2;
-  opts.exact_rerank = true;
-  opts.rerank_pool = 20;
   opts.admission.degrade_in_flight = 1;
   opts.admission.on_overload = AdmissionOptions::OverloadPolicy::kDegrade;
   auto built = RetrievalService::Build(f.model, f.bench.database.features,

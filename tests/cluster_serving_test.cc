@@ -3,16 +3,20 @@
 // ReplicaHealthMonitor state machine on a manual clock, proves the router's
 // 1-vs-N merge is bit-identical when healthy, kills replicas and whole
 // shards with deterministic ChaosPlan rules asserting exact ClusterStats
-// counters, and hammers the stack concurrently for the TSan preset. Built
-// as its own ctest target with the `cluster` label (tools/run_chaos.sh).
+// counters, hammers the stack concurrently for the TSan preset, and pins
+// the phase names of traced single-node and cluster queries. Built as its
+// own ctest target with the `cluster` label (tools/run_chaos.sh).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -270,8 +274,6 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
   auto f = MakeFixture();
 
   ServiceOptions service_opts;
-  service_opts.exact_rerank = true;
-  service_opts.rerank_pool = 10;
   auto service =
       RetrievalService::Build(f.model, f.bench.database.features, service_opts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -279,8 +281,6 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
   ClusterOptions one;
   one.num_shards = 1;
   one.num_replicas = 1;
-  one.searcher.exact_rerank = true;
-  one.searcher.rerank_pool = 10;
   auto single = ClusterService::Build(f.model, f.bench.database.features, one);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
 
@@ -319,6 +319,107 @@ TEST(ClusterServingTest, ShardedTopKIsBitIdenticalToSingleShardAndService) {
       EXPECT_EQ(a[i].distance, c[i].distance);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Phase vocabulary: one name per interval, in spans and profile frames alike
+// ---------------------------------------------------------------------------
+
+/// The trace's span tree as sorted "parent/child" edges ("/root" for a
+/// root), after checking that no span shares its parent's name and none is
+/// named rerank.
+std::vector<std::string> SpanEdges(const obs::Trace& trace) {
+  const auto records = trace.Records();
+  std::vector<std::string> edges;
+  for (const auto& r : records) {
+    EXPECT_NE(r.name, "rerank");
+    const std::string parent = r.parent >= 0 ? records[r.parent].name : "";
+    EXPECT_NE(parent, r.name);
+    edges.push_back(parent + "/" + r.name);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+template <typename Hits>
+void ExpectBitIdentical(const Hits& a, const Hits& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].distance, b[i].distance);  // bitwise, not approximate
+  }
+}
+
+TEST(PhaseVocabularyTest, TracedServiceQueryNamesEachPhaseOnce) {
+  auto f = MakeFixture();
+  const Matrix query = f.bench.query.features.RowCopy(0);
+  for (const bool use_ivf : {false, true}) {
+    SCOPED_TRACE(use_ivf ? "ivf" : "flat");
+    ServiceOptions opts;
+    opts.use_ivf = use_ivf;
+    opts.ivf.num_cells = 10;
+    opts.ivf.nprobe = 4;
+    auto built =
+        RetrievalService::Build(f.model, f.bench.database.features, opts);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const RetrievalService& service = built.value();
+
+    auto plain = service.Query(query, 5);
+    obs::Trace trace;
+    RequestOptions request;
+    request.trace = &trace;
+    auto traced = service.Query(query, 5, request);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_TRUE(traced.ok());
+    ExpectBitIdentical(plain.value(), traced.value());
+    EXPECT_EQ(service.degraded_query_count(), 0u);  // IVF served both
+
+    std::vector<std::string> want = {
+        "/query",          "query/embed",
+        "query/request",   "request/admission",
+        "request/search",  use_ivf ? "search/ivf_search" : "search/adc_search"};
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(SpanEdges(trace), want);
+  }
+}
+
+TEST(PhaseVocabularyTest, TracedClusterQueryNamesEachPhaseOnce) {
+  auto f = MakeFixture();
+  ClusterOptions opts;
+  opts.num_shards = 3;
+  opts.num_replicas = 1;
+  auto built = ClusterService::Build(f.model, f.bench.database.features, opts);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ClusterService& cluster = built.value();
+  const Matrix query = f.bench.query.features.RowCopy(0);
+
+  auto plain = cluster.Query(query, 5);
+  obs::Trace trace;
+  RequestOptions request;
+  request.trace = &trace;
+  auto traced = cluster.Query(query, 5, request);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(traced.ok());
+  ExpectBitIdentical(plain.value().hits, traced.value().hits);
+
+  std::vector<std::string> want = {
+      "/cluster_query",         "cluster_query/embed",
+      "cluster_query/router",   "router/router_scatter",
+      "router/router_merge"};
+  for (int s = 0; s < 3; ++s) {
+    want.push_back("router_scatter/shard_search");
+    want.push_back("shard_search/adc_search");
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(SpanEdges(trace), want);
+
+  // The shard number lives in the record's shard field, not in the name.
+  std::vector<int32_t> shards;
+  for (const auto& r : trace.Records()) {
+    if (r.name == "shard_search") shards.push_back(r.shard);
+  }
+  std::sort(shards.begin(), shards.end());
+  EXPECT_EQ(shards, (std::vector<int32_t>{0, 1, 2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -712,7 +813,10 @@ TEST(ReplicaHealthTest, TransportSignalsWalkTheStateMachine) {
 TEST(ReplicaHealthTest, ProbeBudgetHoldsUnderReconnectStorm) {
   // A reconnect storm: many client threads race BeginAttempt against one
   // PROBING replica. The probe budget must bound the *concurrent* grants
-  // no matter how the races interleave.
+  // no matter how the races interleave. The threads start together, and a
+  // first-round winner keeps its slot until some thread has been denied, so
+  // the storm contends however the scheduler runs it (with 8 threads and a
+  // budget of 2 a denial always comes: at most 2 threads hold a slot).
   double now = 0.0;
   HealthOptions opts;
   opts.failures_to_suspect = 1;
@@ -736,9 +840,11 @@ TEST(ReplicaHealthTest, ProbeBudgetHoldsUnderReconnectStorm) {
   std::atomic<int> max_in_flight{0};
   std::atomic<uint64_t> granted{0};
   std::atomic<uint64_t> denied{0};
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
+      start.arrive_and_wait();
       for (int i = 0; i < kRoundsPerThread; ++i) {
         if (!m.BeginAttempt(0, 0)) {
           denied.fetch_add(1, std::memory_order_relaxed);
@@ -750,6 +856,11 @@ TEST(ReplicaHealthTest, ProbeBudgetHoldsUnderReconnectStorm) {
         int seen = max_in_flight.load(std::memory_order_relaxed);
         while (now_in_flight > seen &&
                !max_in_flight.compare_exchange_weak(seen, now_in_flight)) {
+        }
+        if (i == 0) {
+          while (denied.load(std::memory_order_relaxed) == 0) {
+            std::this_thread::yield();
+          }
         }
         std::this_thread::yield();
         in_flight.fetch_sub(1, std::memory_order_acq_rel);

@@ -213,6 +213,57 @@ TEST(ObsProfileTest, ScriptedRunsAreBitIdentical) {
   EXPECT_EQ(first.first, "serve 5\nserve;rerank 3\n");
 }
 
+TEST(ObsProfileTest, TracedPhasePushesFrameAndOpensSameNamedSpan) {
+  // One annotation per phase: given a trace, a ProfilePhase pushes its
+  // frame and opens a span of the same name under the given parent (null
+  // or empty parent: a root span); given no trace it opens no span.
+  uint64_t now = 0;
+  Profiler::Options po;
+  po.clock = [&now] { return now; };
+  po.cpu_now = [](size_t) { return uint64_t{0}; };
+  Profiler profiler(po);
+  uint64_t trace_now = 0;
+  obs::Trace trace([&trace_now] { return trace_now; });
+
+  std::thread t([&] {
+    trace_now = 10;
+    ProfilePhase outer("outer", &trace, nullptr);
+    EXPECT_EQ(outer.span().index(), 0);
+    {
+      trace_now = 20;
+      ProfilePhase inner("inner", &trace, &outer.span());
+      ProfilePhase untraced("untraced", nullptr, &inner.span());
+      EXPECT_EQ(inner.span().index(), 1);
+      EXPECT_EQ(untraced.span().index(), -1);
+      now = 1000;
+      profiler.SampleOnce();  // "outer;inner;untraced"
+      trace_now = 30;
+    }
+    now = 2000;
+    profiler.SampleOnce();  // "outer"
+    const obs::Span empty;
+    ProfilePhase second_root("second_root", &trace, &empty);
+    EXPECT_EQ(second_root.span().index(), 2);
+    trace_now = 40;
+  });
+  t.join();
+
+  EXPECT_EQ(profiler.CollapsedText(), "outer 1\nouter;inner;untraced 1\n");
+  const auto records = trace.Records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].name, "outer");
+  EXPECT_EQ(records[0].parent, -1);
+  EXPECT_EQ(records[0].start_ns, 10u);
+  EXPECT_EQ(records[0].end_ns, 40u);
+  EXPECT_EQ(records[1].name, "inner");
+  EXPECT_EQ(records[1].parent, 0);
+  EXPECT_EQ(records[1].start_ns, 20u);
+  EXPECT_EQ(records[1].end_ns, 30u);
+  EXPECT_EQ(records[2].name, "second_root");
+  EXPECT_EQ(records[2].parent, -1);
+  EXPECT_EQ(records[2].end_ns, 40u);
+}
+
 TEST(ObsProfileTest, IdleThreadsAreInvisibleAndStartStopIsSafe) {
   uint64_t now = 0;
   Profiler::Options po;

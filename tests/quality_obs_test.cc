@@ -550,7 +550,7 @@ TEST(QualityObsTest, SlowQueryChaosLatencySpikeCapturesTraceAndExplain) {
   bool saw_search = false, saw_scan = false;
   for (const auto& span : rec.spans) {
     saw_search = saw_search || span.name == "search";
-    saw_scan = saw_scan || span.name == "adc_scan";
+    saw_scan = saw_scan || span.name == "adc_search";
   }
   EXPECT_TRUE(saw_search);
   EXPECT_TRUE(saw_scan);
@@ -566,7 +566,7 @@ TEST(QualityObsTest, SlowQueryChaosLatencySpikeCapturesTraceAndExplain) {
   auto body = eval::ReadFileToString(path);
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body.value().find("\"kind\":\"latency\""), std::string::npos);
-  EXPECT_NE(body.value().find("\"name\":\"adc_scan\""), std::string::npos);
+  EXPECT_NE(body.value().find("\"name\":\"adc_search\""), std::string::npos);
   EXPECT_NE(body.value().find("\"chunks\":"), std::string::npos);
   std::remove(path.c_str());
 }

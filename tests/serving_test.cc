@@ -113,18 +113,13 @@ TEST(RetrievalServiceTest, BatchMatchesSingleQueries) {
   }
 }
 
-TEST(RetrievalServiceTest, ExactRerankKeepsResultSetConsistent) {
+TEST(RetrievalServiceTest, QueryReturnsHitsInAscendingDistance) {
   auto f = MakeFixture();
-  ServiceOptions opts;
-  opts.exact_rerank = true;
-  opts.rerank_pool = 20;
-  auto service =
-      RetrievalService::Build(f.model, f.bench.database.features, opts);
+  auto service = RetrievalService::Build(f.model, f.bench.database.features);
   ASSERT_TRUE(service.ok());
   auto hits = service.value().Query(f.bench.query.features.RowCopy(0), 5);
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits.value().size(), 5u);
-  // Distances ascending after re-rank.
   for (size_t i = 1; i < hits.value().size(); ++i) {
     EXPECT_LE(hits.value()[i - 1].distance, hits.value()[i].distance);
   }
@@ -200,19 +195,6 @@ TEST(RetrievalServiceTest, EdgeCaseTopKAndEmptyBatch) {
   auto batch = service.value().QueryBatch(empty_batch, 3);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch.value().empty());
-}
-
-TEST(RetrievalServiceTest, RerankPoolSmallerThanTopKStillFillsTopK) {
-  auto f = MakeFixture();
-  ServiceOptions opts;
-  opts.exact_rerank = true;
-  opts.rerank_pool = 2;  // smaller than top_k below
-  auto service =
-      RetrievalService::Build(f.model, f.bench.database.features, opts);
-  ASSERT_TRUE(service.ok());
-  auto hits = service.value().Query(f.bench.query.features.RowCopy(0), 6);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits.value().size(), 6u);
 }
 
 TEST(RetrievalServiceTest, IvfShortfallDegradesToFlatScan) {

@@ -69,8 +69,6 @@ int main(int argc, char** argv) {
 
   serving::ServiceOptions opts;
   opts.metrics = metrics;
-  opts.exact_rerank = true;
-  opts.rerank_pool = 50;
   if (use_ivf) {
     opts.use_ivf = true;
     opts.ivf.num_cells = cells;
@@ -245,8 +243,6 @@ int main(int argc, char** argv) {
     serving::ClusterOptions copts;
     copts.num_shards = shards;
     copts.num_replicas = replicas;
-    copts.searcher.exact_rerank = true;
-    copts.searcher.rerank_pool = 50;
     if (use_ivf) {
       copts.searcher.use_ivf = true;
       copts.searcher.ivf.num_cells = cells;
